@@ -1,8 +1,9 @@
 """Command-line surface: configuration, reference management, run
 orchestration, and post-hoc analysis.
 
-Run configs are single JSON documents; unknown keys are rejected and every
-default is echoed into run_report.json. A determinism hash (SHA-256 over
+Run configs are single JSON documents; unknown keys, and keys the chosen
+task does not read, are rejected, and every default is echoed into
+run_report.json. A determinism hash (SHA-256 over
 the timing-stripped report) makes reproducibility checkable.
 """
 
@@ -30,9 +31,6 @@ from .schedules import BetaSchedule
 class ConfigError(MolgaError):
     """Invalid run configuration."""
 
-
-_TASKS = ("unconstrained", "adaptive_dt", "constrained_similarity",
-          "property_target", "logp_qed", "random_baseline", "beta_sweep")
 
 _DEFAULTS: dict[str, Any] = {
     "task": "unconstrained",
@@ -84,8 +82,8 @@ def parse_config(doc: dict) -> dict:
     unknown = set(doc) - set(_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if out["task"] not in _TASKS:
-        raise ConfigError(f"unknown task {out['task']!r}; expected one of {_TASKS}")
+    if out["task"] not in _RUNNERS:
+        raise ConfigError(f"unknown task {out['task']!r}; expected one of {tuple(_RUNNERS)}")
     if not isinstance(out["seed"], int):
         raise ConfigError("seed must be an integer")
     for key in ("population_size", "generations", "max_canonical_len",
@@ -104,6 +102,12 @@ def parse_config(doc: dict) -> dict:
         raise ConfigError("constrained.delta must be in [0, 1]")
     if not out["beta_sweep"]["betas"]:
         raise ConfigError("beta_sweep.betas must be non-empty")
+    # a key left at its default changes nothing, so a materialized config
+    # (the echo in run_report.json) parses again
+    ignored = {key for key in set(doc) - _ALWAYS_READ - _RUNNERS[out["task"]][1]
+               if out[key] != _DEFAULTS[key]}
+    if ignored:
+        raise ConfigError(f"task {out['task']!r} does not read {sorted(ignored)}")
     return out
 
 
@@ -151,8 +155,18 @@ def _load_initial_population(path: str, population_size: int):
     return [genotypes[i % len(genotypes)] for i in range(population_size)]
 
 
-def _evolver_config(config: dict, schedule: BetaSchedule,
-                    use_discriminator: bool) -> EvolverConfig:
+def _evolver_config(config: dict) -> EvolverConfig:
+    """The one EvolverConfig of a run config. Tasks that fix beta, the
+    discriminator or the population override those fields themselves."""
+    if config["task"] == "adaptive_dt":
+        ad = config["adaptive"]
+        schedule = BetaSchedule.adaptive(ad["low"], ad["high"], ad["window"], ad["epsilon"])
+        use_discriminator = True
+    else:
+        schedule = BetaSchedule.const(float(config["beta"]))
+        use_discriminator = config["use_discriminator"]
+        if use_discriminator is None:
+            use_discriminator = config["beta"] != 0.0
     initial = None
     if config["initial_population"]:
         if not os.path.exists(config["initial_population"]):
@@ -172,7 +186,6 @@ def _evolver_config(config: dict, schedule: BetaSchedule,
         max_genotype_len=config["max_genotype_len"],
         archive_k=config["archive_k"],
         seed=config["seed"],
-        threads=config["threads"],
         snapshot_every=config["snapshot_every"],
         initial_genotypes=initial,
     )
@@ -207,111 +220,105 @@ def _write_outputs(out_dir: str, report: dict, result: RunResult | None) -> None
         json.dump(report, fh, indent=2, sort_keys=True)
 
 
+# Each runner takes (config, reference, out_dir) and returns the report's
+# "result" and the RunResult whose trace is written, if the task has one.
+
+
+def _run_ga(config: dict, ref: ReferenceSet, out_dir: str | None):
+    cfg = _evolver_config(config)
+    result = run(cfg, ref)
+    summary = {
+        "best_j": result.best_trace[-1],
+        "best": _archive_json(result)[:5],
+        "best_trace": result.best_trace,
+        "beta_trace": result.beta_trace,
+    }
+    if cfg.schedule.mode == "adaptive":
+        summary["first_trigger"] = tasks.first_trigger_generation(result, cfg.schedule.high)
+    return summary, result
+
+
+def _run_constrained(config: dict, ref: ReferenceSet, out_dir: str | None):
+    c = config["constrained"]
+    cfg = _evolver_config(config)
+    if c["reference_smiles"]:
+        res = tasks.run_constrained(parse_smiles(c["reference_smiles"]), ref, cfg,
+                                    delta=c["delta"])
+    else:
+        res = tasks.run_constrained_batch(ref, cfg, n_molecules=c["n_molecules"],
+                                          delta=c["delta"])
+    return res.to_dict(), None
+
+
+def _run_property_target(config: dict, ref: ReferenceSet, out_dir: str | None):
+    p = config["property_target"]
+    cfg = _evolver_config(config)
+    if p["targets"] is not None:
+        targets = tasks.PropertyTargets(*[float(x) for x in p["targets"]])
+        res = tasks.run_property_target(targets, ref, cfg)
+    else:
+        res = tasks.run_property_target_batch(ref, cfg, n_targets=p["n_targets"])
+    return res.to_dict(), None
+
+
+def _run_logp_qed(config: dict, ref: ReferenceSet, out_dir: str | None):
+    w = config["logp_qed"]
+    res = tasks.run_logp_qed(ref, _evolver_config(config), w_j=w["w_j"], w_qed=w["w_qed"])
+    return {"best": _archive_json(res.run)[:5], "archive_scatter": res.archive_scatter}, res.run
+
+
+def _run_random_baseline(config: dict, ref: ReferenceSet, out_dir: str | None):
+    res = tasks.run_random_baseline(
+        ref, config["random_baseline"]["n_samples"], seed=config["seed"],
+        max_canonical_len=config["max_canonical_len"],
+        max_genotype_len=config["max_genotype_len"])
+    return res.to_dict(), None
+
+
+def _run_beta_sweep(config: dict, ref: ReferenceSet, out_dir: str | None):
+    bs = config["beta_sweep"]
+    res = tasks.run_beta_sweep(ref, _evolver_config(config),
+                               [float(b) for b in bs["betas"]],
+                               seeds_per_beta=bs["seeds_per_beta"])
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "beta_sweep.csv"), "w") as fh:
+            fh.write("beta,generation,mean_j,mean_d\n")
+            for row in res.rows:
+                for gen, (mj, md) in enumerate(zip(row.mean_j_trace, row.mean_d_trace)):
+                    fh.write(f"{row.beta:g},{gen},{mj:.6f},{md:.6f}\n")
+    return res.to_dict(), None
+
+
+# Keys every task accepts; the rest of a task's keys sit next to its runner.
+_ALWAYS_READ = {"task", "seed", "reference", "threads", "output_dir"}
+_GA_KEYS = {"population_size", "generations", "elite_count", "parent_selection",
+            "top_fraction", "max_canonical_len", "max_genotype_len", "archive_k",
+            "snapshot_every", "initial_population"}
+# snapshot_every is read only where a per-run trace is written; archive_k
+# only where the archive beyond its best entry reaches the result
+_RUNNERS = {
+    "unconstrained": (_run_ga, _GA_KEYS | {"beta", "use_discriminator"}),
+    "adaptive_dt": (_run_ga, _GA_KEYS | {"adaptive"}),
+    "constrained_similarity": (
+        _run_constrained, _GA_KEYS - {"snapshot_every", "initial_population"} | {"constrained"}),
+    "property_target": (
+        _run_property_target, _GA_KEYS - {"snapshot_every", "archive_k"} | {"property_target"}),
+    "logp_qed": (_run_logp_qed, _GA_KEYS | {"logp_qed"}),
+    "random_baseline": (
+        _run_random_baseline, {"max_canonical_len", "max_genotype_len", "random_baseline"}),
+    "beta_sweep": (
+        _run_beta_sweep, _GA_KEYS - {"snapshot_every", "archive_k"} | {"beta_sweep"}),
+}
+
+
 def run_task(config: dict, out_dir: str | None) -> dict:
     """Execute the configured task; returns the run report."""
     t_start = time.time()
     ref, ref_info = load_config_reference(config)
     task = config["task"]
     report: dict[str, Any] = {"config": config, "reference": ref_info, "task": task}
-    result: RunResult | None = None
-
-    if task == "unconstrained":
-        beta = float(config["beta"])
-        use_d = config["use_discriminator"]
-        if use_d is None:
-            use_d = beta != 0.0
-        cfg = _evolver_config(config, BetaSchedule.const(beta), use_d)
-        result = run(cfg, ref)
-        report["result"] = {
-            "best_j": result.best_trace[-1],
-            "best": _archive_json(result)[:5],
-            "best_trace": result.best_trace,
-            "beta_trace": result.beta_trace,
-        }
-    elif task == "adaptive_dt":
-        ad = config["adaptive"]
-        schedule = BetaSchedule.adaptive(ad["low"], ad["high"], ad["window"], ad["epsilon"])
-        cfg = _evolver_config(config, schedule, True)
-        result = run(cfg, ref)
-        report["result"] = {
-            "best_j": result.best_trace[-1],
-            "best": _archive_json(result)[:5],
-            "best_trace": result.best_trace,
-            "beta_trace": result.beta_trace,
-            "first_trigger": tasks.first_trigger_generation(result, ad["high"]),
-        }
-    elif task == "constrained_similarity":
-        c = config["constrained"]
-        if c["reference_smiles"]:
-            graph = parse_smiles(c["reference_smiles"])
-            res = tasks.run_constrained(
-                graph, ref, delta=c["delta"],
-                population_size=config["population_size"],
-                generations=config["generations"], seed=config["seed"],
-                max_canonical_len=config["max_canonical_len"],
-                threads=config["threads"])
-            report["result"] = res.to_dict()
-        else:
-            batch = tasks.run_constrained_batch(
-                ref, n_molecules=c["n_molecules"], delta=c["delta"],
-                population_size=config["population_size"],
-                generations=config["generations"], seed=config["seed"],
-                threads=config["threads"])
-            report["result"] = batch.to_dict()
-    elif task == "property_target":
-        p = config["property_target"]
-        if p["targets"] is not None:
-            t = tasks.PropertyTargets(*[float(x) for x in p["targets"]])
-            res = tasks.run_property_target(
-                t, ref, population_size=config["population_size"],
-                generations=config["generations"], seed=config["seed"],
-                max_canonical_len=config["max_canonical_len"],
-                threads=config["threads"])
-            report["result"] = res.to_dict()
-        else:
-            batch = tasks.run_property_target_batch(
-                ref, n_targets=p["n_targets"],
-                population_size=config["population_size"],
-                generations=config["generations"], seed=config["seed"],
-                threads=config["threads"])
-            report["result"] = batch.to_dict()
-    elif task == "logp_qed":
-        w = config["logp_qed"]
-        res = tasks.run_logp_qed(
-            ref, w_j=w["w_j"], w_qed=w["w_qed"],
-            population_size=config["population_size"],
-            generations=config["generations"], seed=config["seed"],
-            max_canonical_len=config["max_canonical_len"],
-            threads=config["threads"], archive_k=config["archive_k"])
-        result = res.run
-        report["result"] = {
-            "best": _archive_json(result)[:5],
-            "archive_scatter": res.archive_scatter,
-        }
-    elif task == "random_baseline":
-        rb = config["random_baseline"]
-        res = tasks.run_random_baseline(
-            ref, rb["n_samples"], seed=config["seed"],
-            max_canonical_len=config["max_canonical_len"],
-            max_genotype_len=config["max_genotype_len"])
-        report["result"] = res.to_dict()
-    elif task == "beta_sweep":
-        bs = config["beta_sweep"]
-        res = tasks.run_beta_sweep(
-            ref, [float(b) for b in bs["betas"]],
-            seeds_per_beta=bs["seeds_per_beta"],
-            population_size=config["population_size"],
-            generations=config["generations"], seed=config["seed"],
-            max_canonical_len=config["max_canonical_len"],
-            threads=config["threads"])
-        report["result"] = res.to_dict()
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-            with open(os.path.join(out_dir, "beta_sweep.csv"), "w") as fh:
-                fh.write("beta,generation,mean_j,mean_d\n")
-                for row in res.rows:
-                    for gen, (mj, md) in enumerate(zip(row.mean_j_trace, row.mean_d_trace)):
-                        fh.write(f"{row.beta:g},{gen},{mj:.6f},{md:.6f}\n")
+    report["result"], result = _RUNNERS[task][0](config, ref, out_dir)
     report["timing"] = {"wall_seconds": time.time() - t_start}
     if out_dir:
         _write_outputs(out_dir, report, result)
@@ -325,17 +332,25 @@ def run_task(config: dict, out_dir: str | None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_run(args) -> int:
+def _load_run_config(args, task: str | None = None) -> tuple[dict, str | None]:
+    """The parsed config file with the --seed/--threads overrides applied,
+    and the output directory."""
     with open(args.config) as fh:
         doc = json.load(fh)
+    if task is not None:
+        doc["task"] = task
     config = parse_config(doc)
     if args.seed is not None:
         config["seed"] = args.seed
     if args.threads is not None:
         config["threads"] = args.threads
+    return config, args.out or config["output_dir"] or os.environ.get("MOLGA_OUT")
+
+
+def _cmd_run(args) -> int:
+    config, out_dir = _load_run_config(args)
     if args.synthetic_reference is not None:
         config["reference"] = {"synthetic": args.synthetic_reference}
-    out_dir = args.out or config["output_dir"] or os.environ.get("MOLGA_OUT")
     report = run_task(config, out_dir)
     print(json.dumps({k: report[k] for k in ("task", "determinism_hash")}, indent=2))
     if out_dir:
@@ -422,7 +437,7 @@ def _cmd_analyze(args) -> int:
         long_path = os.path.join(out_dir, "snapshot_clusters_long.csv")
         with open(long_path, "w") as fh:
             fh.write("generation,canonical,series,value\n")
-            for r in analysis.snapshot_report(snapshots, seed=config["seed"]):
+            for r in rows:
                 fh.write(f"{r.generation},{r.canonical},score,{r.score:.6f}\n")
                 fh.write(f"{r.generation},{r.canonical},cluster,{r.cluster}\n")
                 fh.write(f"{r.generation},{r.canonical},pca_x,{r.x:.6f}\n")
@@ -432,15 +447,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        doc = json.load(fh)
-    doc["task"] = "beta_sweep"
-    config = parse_config(doc)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.threads is not None:
-        config["threads"] = args.threads
-    out_dir = args.out or config["output_dir"] or os.environ.get("MOLGA_OUT")
+    config, out_dir = _load_run_config(args, task="beta_sweep")
     report = run_task(config, out_dir)
     print(json.dumps(report["result"], indent=2))
     return 0

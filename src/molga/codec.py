@@ -70,6 +70,7 @@ ATOM_INFO: dict[Symbol, tuple[str, int]] = {
 }
 
 N_SYMBOLS = 16
+_SYMBOLS: tuple[Symbol, ...] = tuple(Symbol)
 
 # spliced by the phenyl mutation; decodes on its own to a Kekulé 6-ring
 PHENYL_SYMBOLS: tuple[Symbol, ...] = (
@@ -501,4 +502,4 @@ def random_genotype(rng, max_len: int) -> Genotype:
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     length = rng.randint(1, max_len)
-    return Genotype(tuple(Symbol(rng.randrange(N_SYMBOLS)) for _ in range(length)))
+    return Genotype(tuple(_SYMBOLS[rng.randrange(N_SYMBOLS)] for _ in range(length)))

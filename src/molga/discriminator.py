@@ -231,32 +231,39 @@ def loss_and_gradients(model: DiscriminatorModel, x: np.ndarray, y: np.ndarray):
     n = len(y)
     eps = 1e-12
     loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
-    grad_w = [np.zeros_like(w) for w in model.weights]
-    grad_b = [np.zeros_like(b) for b in model.biases]
+    grad_w, grad_b = [], []  # filled from the last layer back
     delta = ((p - y) / n)[:, None]  # sigmoid + BCE composite gradient
     for k in range(len(model.weights) - 1, -1, -1):
-        grad_w[k] = acts[k].T @ delta
-        grad_b[k] = delta.sum(axis=0)
+        grad_w.append(acts[k].T @ delta)
+        grad_b.append(delta.sum(axis=0))
         if k > 0:
             delta = (delta @ model.weights[k].T) * (acts[k] > 0)
-    return loss, grad_w, grad_b
+    return loss, grad_w[::-1], grad_b[::-1]
 
 
-def _adam_update(model: DiscriminatorModel, grad_w, grad_b) -> None:
+def _pack(weights: list[np.ndarray], biases: list[np.ndarray]):
+    """One flat copy of the weight and bias arrays, with views of it
+    shaped like each of them."""
+    flat = np.concatenate([a.ravel() for a in weights + biases])
+    views, lo = [], 0
+    for a in weights + biases:
+        views.append(flat[lo : lo + a.size].reshape(a.shape))
+        lo += a.size
+    return flat, views[: len(weights)], views[len(weights) :]
+
+
+def _adam_update(model: DiscriminatorModel, params: np.ndarray, m: np.ndarray,
+                 v: np.ndarray, grad: np.ndarray) -> None:
+    """One Adam step on the flat parameter vector and its moments."""
     model.step_count += 1
     t = model.step_count
     corr1 = 1.0 - ADAM_BETA1 ** t
     corr2 = 1.0 - ADAM_BETA2 ** t
-    for k in range(len(model.weights)):
-        for grad, param, m, v in (
-            (grad_w[k], model.weights[k], model.m_w[k], model.v_w[k]),
-            (grad_b[k], model.biases[k], model.m_b[k], model.v_b[k]),
-        ):
-            m *= ADAM_BETA1
-            m += (1 - ADAM_BETA1) * grad
-            v *= ADAM_BETA2
-            v += (1 - ADAM_BETA2) * grad * grad
-            param -= ADAM_STEP * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * grad * grad
+    params -= ADAM_STEP * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
 
 
 def train(model: DiscriminatorModel, ga_samples: np.ndarray, ref_samples: np.ndarray,
@@ -278,6 +285,11 @@ def train(model: DiscriminatorModel, ga_samples: np.ndarray, ref_samples: np.nda
     x = (x - model.feature_stats.mean) / model.feature_stats.std
 
     snap = model.snapshot()
+    # Adam steps every parameter at once: the weights, the biases and their
+    # moment estimates become views of three flat vectors
+    params, model.weights, model.biases = _pack(model.weights, model.biases)
+    m, model.m_w, model.m_b = _pack(model.m_w, model.m_b)
+    v, model.v_w, model.v_b = _pack(model.v_w, model.v_b)
     indices = list(range(len(y)))
     losses: list[float] = []
     for _ in range(epochs):
@@ -290,7 +302,7 @@ def train(model: DiscriminatorModel, ga_samples: np.ndarray, ref_samples: np.nda
             if not math.isfinite(loss):
                 model.restore(snap)
                 raise NonFiniteLoss(f"loss became {loss}")
-            _adam_update(model, gw, gb)
+            _adam_update(model, params, m, v, np.concatenate([g.ravel() for g in gw + gb]))
             total += loss * len(batch)
         losses.append(total / len(indices))
     return losses

@@ -10,16 +10,15 @@ RNG discipline: one logical stream per run, consumed in a fixed order each
 generation - kill draws (one per slot, in index order), then per killed
 slot in index order a parent draw followed by that slot's mutation draws,
 then the reference-sample draws, then the training shuffles. Evaluation of
-individuals never touches the stream, so parallel evaluation cannot reorder
-it.
+individuals never touches the stream.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -111,10 +110,14 @@ class Individual:
     canonical: str
     record: PropertyRecord
     score: float  # objective value (the J slot of the fitness)
-    features: np.ndarray
     d: float = 0.0
     fitness: float = 0.0
     age: int = 0
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        # computed on first use: runs without a discriminator never read it
+        return featurize(self.graph)
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,6 @@ class EvolverConfig:
     kill_slope: float = 10.0
     kill_center: float = 0.5
     seed: int = 0
-    threads: int = 1
     snapshot_every: int = 0  # 0 disables population snapshots
     initial_genotypes: list[Genotype] | None = None
 
@@ -173,8 +175,6 @@ class EvolverConfig:
             raise ValueError("elite_count out of range")
         if self.parent_selection not in ("uniform-survivors", "top-fraction"):
             raise ValueError(f"unknown parent_selection {self.parent_selection!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 @dataclass
@@ -219,16 +219,8 @@ class Evolver:
         graph = decode(genotype)
         record = penalized_logp(graph, self.reference.prop_stats)
         score = record.j if self.objective is None else self.objective(graph, record)
-        return Individual(
-            genotype=genotype, graph=graph, canonical=graph.canonical(),
-            record=record, score=score, features=featurize(graph),
-        )
-
-    def _evaluate_many(self, genotypes: list[Genotype]) -> list[Individual]:
-        if self.config.threads > 1 and len(genotypes) > 1:
-            with ThreadPoolExecutor(max_workers=self.config.threads) as pool:
-                return list(pool.map(self._evaluate, genotypes))
-        return [self._evaluate(g) for g in genotypes]
+        return Individual(genotype=genotype, graph=graph, canonical=graph.canonical(),
+                          record=record, score=score)
 
     def _update_archive(self, individuals: list[Individual]) -> None:
         for ind in individuals:
@@ -256,11 +248,11 @@ class Evolver:
             genotypes = list(cfg.initial_genotypes)
         else:
             genotypes = [Genotype((Symbol.C,))] * cfg.population_size
-        self.population = self._evaluate_many(genotypes)
+        self.population = [self._evaluate(g) for g in genotypes]
         self._refresh_d_scores()
         self._update_archive(self.population)
         self.best_trace = [self.best_ever()]
-        beta = self.config.schedule.current
+        beta = next_beta(cfg.schedule, 0, [])
         self.beta_trace = [beta]
         for ind in self.population:
             ind.fitness = fitness(ind.score, ind.d, beta)
@@ -305,7 +297,7 @@ class Evolver:
             child_genotypes.append(
                 mutate(parent.genotype, self.rng, cfg.max_canonical_len,
                        cfg.max_genotype_len))
-        children = self._evaluate_many(child_genotypes)
+        children = [self._evaluate(g) for g in child_genotypes]
         for slot, child in zip(killed, children):
             pop[slot] = child
         for i in survivors:

@@ -12,7 +12,7 @@ cap minus the sum of its bond orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import MolgaError
 
@@ -136,6 +136,12 @@ class MolecularGraph:
         if "canonical" not in self._cache:
             self._cache["canonical"] = _canonical_string(self)
         return self._cache["canonical"]
+
+    def memo(self, key: str, compute: Callable[["MolecularGraph"], Any]) -> Any:
+        """`compute(self)`, computed once per graph."""
+        if key not in self._cache:
+            self._cache[key] = compute(self)
+        return self._cache[key]
 
     def fingerprint(self, radius: int = 2, nbits: int = 1024) -> "Fingerprint":
         key = ("fp", radius, nbits)

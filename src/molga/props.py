@@ -48,8 +48,13 @@ def logp_raw(g: MolecularGraph) -> float:
     """Additive hydrophobicity surrogate.
 
     Computed from per-class atom counts so the value is bit-identical across
-    isomorphic labelings.
+    isomorphic labelings. Memoized on the graph: the property record, QED
+    and the discriminator features all read it.
     """
+    return g.memo("logp_raw", _logp_raw)
+
+
+def _logp_raw(g: MolecularGraph) -> float:
     conj = _conjugated_ring_atoms(g)
     n_conj_c = sum(1 for i in conj if g.elements[i] == "C")
     n_plain_c = sum(1 for el in g.elements if el == "C") - n_conj_c

@@ -3,11 +3,11 @@ adaptive schedule that toggles between a low and a high weight."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 
-@dataclass
+@dataclass(frozen=True)
 class BetaSchedule:
     """Step schedule for the discriminator weight.
 
@@ -23,17 +23,12 @@ class BetaSchedule:
     high: float = 1000.0
     window: int = 20
     epsilon: float = 1e-3
-    # adaptive state
-    current: float = field(default=0.0, init=False)
-    best_at_improvement: float | None = field(default=None, init=False)
-    since_improvement: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.mode not in ("constant", "adaptive"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        self.current = self.constant if self.mode == "constant" else self.low
 
     @staticmethod
     def const(beta: float) -> "BetaSchedule":
@@ -50,27 +45,26 @@ def next_beta(schedule: BetaSchedule, gen: int, best_j_history: Sequence[float])
     """Beta for the upcoming generation.
 
     `best_j_history[i]` is the best-ever objective after generation i; its
-    length must equal `gen`. State transitions happen only here, once per
-    generation boundary.
+    length must equal `gen`. The schedule holds no state: the adaptive
+    weight is found by replaying the whole history, so one schedule can
+    serve any number of runs.
     """
     if len(best_j_history) != gen:
         raise ValueError(f"history length {len(best_j_history)} != generation index {gen}")
     if schedule.mode == "constant":
         return schedule.constant
-    if not best_j_history:
-        return schedule.current
-    latest = best_j_history[-1]
-    if schedule.best_at_improvement is None:
-        schedule.best_at_improvement = latest
-        schedule.since_improvement = 0
-        return schedule.current
-    if latest > schedule.best_at_improvement + schedule.epsilon:
-        schedule.best_at_improvement = latest
-        schedule.since_improvement = 0
-        if schedule.current == schedule.high:
-            schedule.current = schedule.low
-    else:
-        schedule.since_improvement += 1
-        if schedule.current == schedule.low and schedule.since_improvement >= schedule.window:
-            schedule.current = schedule.high
-    return schedule.current
+    beta = schedule.low
+    best_at_improvement: float | None = None
+    since_improvement = 0
+    for latest in best_j_history:
+        if best_at_improvement is None:
+            best_at_improvement = latest
+        elif latest > best_at_improvement + schedule.epsilon:
+            best_at_improvement = latest
+            since_improvement = 0
+            beta = schedule.low
+        else:
+            since_improvement += 1
+            if since_improvement >= schedule.window:
+                beta = schedule.high
+    return beta

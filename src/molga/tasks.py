@@ -1,10 +1,14 @@
-"""Experiment drivers: the five optimization protocols plus the random
-baseline and the beta sweep."""
+"""Experiment drivers: the constrained, property-target and logP+QED
+protocols, the random baseline and the beta sweep.
+
+Each GA driver takes the caller's EvolverConfig and overrides only what its
+protocol fixes. The unconstrained and adaptive-schedule tasks need no
+driver: they are `evolver.run` on the caller's config."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,43 +22,15 @@ from .schedules import BetaSchedule
 SIMILARITY_PENALTY = 1e6
 
 
-# ---------------------------------------------------------------------------
-# Unconstrained and adaptive-schedule runs
-# ---------------------------------------------------------------------------
+def _without_discriminator(config: EvolverConfig, **changes) -> EvolverConfig:
+    """The config with beta fixed at 0 and no discriminator trained."""
+    return replace(config, schedule=BetaSchedule.const(0.0),
+                   use_discriminator=False, **changes)
 
 
-def run_unconstrained(ref: ReferenceSet, *, beta: float = 0.0,
-                      use_discriminator: bool | None = None,
-                      population_size: int = 500, generations: int = 100,
-                      seed: int = 0, max_canonical_len: int = 81,
-                      threads: int = 1, snapshot_every: int = 0,
-                      archive_k: int = 50) -> RunResult:
-    """Maximize the penalized-logP objective from an all-methane start."""
-    if use_discriminator is None:
-        use_discriminator = beta != 0.0
-    config = EvolverConfig(
-        population_size=population_size, generations=generations,
-        schedule=BetaSchedule.const(beta), use_discriminator=use_discriminator,
-        seed=seed, max_canonical_len=max_canonical_len, threads=threads,
-        snapshot_every=snapshot_every, archive_k=archive_k,
-    )
-    return run(config, ref)
-
-
-def run_adaptive(ref: ReferenceSet, *, low: float = 0.0, high: float = 1000.0,
-                 window: int = 20, epsilon: float = 1e-3,
-                 population_size: int = 500, generations: int = 100,
-                 seed: int = 0, max_canonical_len: int = 81, threads: int = 1,
-                 snapshot_every: int = 0, archive_k: int = 50) -> RunResult:
-    """Time-dependent penalty: beta toggles low/high on stagnation."""
-    config = EvolverConfig(
-        population_size=population_size, generations=generations,
-        schedule=BetaSchedule.adaptive(low, high, window, epsilon),
-        use_discriminator=True, seed=seed,
-        max_canonical_len=max_canonical_len, threads=threads,
-        snapshot_every=snapshot_every, archive_k=archive_k,
-    )
-    return run(config, ref)
+def _nth_run(config: EvolverConfig, k: int) -> EvolverConfig:
+    """The config of the k-th independently seeded run of a batch."""
+    return replace(config, seed=config.seed * 1_000_003 + k)
 
 
 def first_trigger_generation(result: RunResult, high: float) -> int | None:
@@ -101,10 +77,8 @@ class ConstrainedResult:
         }
 
 
-def run_constrained(reference_graph: MolecularGraph, ref: ReferenceSet, *,
-                    delta: float = 0.4, population_size: int = 500,
-                    generations: int = 20, seed: int = 0,
-                    max_canonical_len: int = 81, threads: int = 1) -> ConstrainedResult:
+def run_constrained(reference_graph: MolecularGraph, ref: ReferenceSet,
+                    config: EvolverConfig, *, delta: float = 0.4) -> ConstrainedResult:
     """Improve one molecule's objective while staying similar to it.
 
     The population starts as copies of the reference molecule, beta is 0,
@@ -126,12 +100,8 @@ def run_constrained(reference_graph: MolecularGraph, ref: ReferenceSet, *,
     def objective(graph: MolecularGraph, record: PropertyRecord) -> float:
         return constrained_fitness(record.j, tanimoto(fingerprint(graph), ref_fp), delta)
 
-    config = EvolverConfig(
-        population_size=population_size, generations=generations,
-        schedule=BetaSchedule.const(0.0), use_discriminator=False, seed=seed,
-        max_canonical_len=max_canonical_len, threads=threads,
-        initial_genotypes=[seed_genotype] * population_size,
-    )
+    config = _without_discriminator(
+        config, initial_genotypes=[seed_genotype] * config.population_size)
     result = run(config, ref, objective)
 
     best = None
@@ -175,18 +145,13 @@ def lowest_scoring_references(ref: ReferenceSet, n: int) -> list[int]:
     return order[:n]
 
 
-def run_constrained_batch(ref: ReferenceSet, *, n_molecules: int = 50,
-                          delta: float = 0.4, population_size: int = 100,
-                          generations: int = 20, seed: int = 0,
-                          threads: int = 1) -> ConstrainedBatchResult:
+def run_constrained_batch(ref: ReferenceSet, config: EvolverConfig, *,
+                          n_molecules: int = 50,
+                          delta: float = 0.4) -> ConstrainedBatchResult:
     """Constrained improvement over the n lowest-scoring reference molecules."""
     picks = lowest_scoring_references(ref, n_molecules)
-    results = []
-    for k, idx in enumerate(picks):
-        results.append(run_constrained(
-            ref.graphs[idx], ref, delta=delta, population_size=population_size,
-            generations=generations, seed=seed * 1_000_003 + k, threads=threads,
-        ))
+    results = [run_constrained(ref.graphs[idx], ref, _nth_run(config, k), delta=delta)
+               for k, idx in enumerate(picks)]
     usable = [r for r in results if r.error is None]
     improvements = [r.improvement for r in usable]
     successes = [r.success for r in usable]
@@ -283,10 +248,9 @@ class PropertyTargetResult:
         }
 
 
-def run_property_target(targets: PropertyTargets, ref: ReferenceSet, *,
-                        population_size: int = 500, generations: int = 100,
-                        seed: int = 0, max_canonical_len: int = 81,
-                        threads: int = 1, early_stop: bool = True) -> PropertyTargetResult:
+def run_property_target(targets: PropertyTargets, ref: ReferenceSet,
+                        config: EvolverConfig, *,
+                        early_stop: bool = True) -> PropertyTargetResult:
     """Seek a molecule matching the raw property targets (SSD < 1.0).
 
     With early_stop the run ends at the first generation whose best-ever
@@ -296,13 +260,8 @@ def run_property_target(targets: PropertyTargets, ref: ReferenceSet, *,
     def objective(graph: MolecularGraph, record: PropertyRecord) -> float:
         return property_target_fitness(record, targets)
 
-    config = EvolverConfig(
-        population_size=population_size, generations=generations,
-        schedule=BetaSchedule.const(0.0), use_discriminator=False,
-        seed=seed, max_canonical_len=max_canonical_len, threads=threads,
-    )
     stop = (lambda ev: ev.best_ever() > -SUCCESS_SSD) if early_stop else None
-    result = run(config, ref, objective, stop_condition=stop)
+    result = run(_without_discriminator(config), ref, objective, stop_condition=stop)
     best = result.best
     ssd = -best.score
     return PropertyTargetResult(
@@ -322,17 +281,12 @@ class PropertyTargetBatchResult:
                 "results": [r.to_dict() for r in self.results]}
 
 
-def run_property_target_batch(ref: ReferenceSet, *, n_targets: int = 100,
-                              population_size: int = 100, generations: int = 100,
-                              seed: int = 0, threads: int = 1,
+def run_property_target_batch(ref: ReferenceSet, config: EvolverConfig, *,
+                              n_targets: int = 100,
                               early_stop: bool = True) -> PropertyTargetBatchResult:
-    targets = draw_property_targets(ref, n_targets, seed)
-    results = []
-    for k, t in enumerate(targets):
-        results.append(run_property_target(
-            t, ref, population_size=population_size, generations=generations,
-            seed=seed * 1_000_003 + k, threads=threads, early_stop=early_stop,
-        ))
+    targets = draw_property_targets(ref, n_targets, config.seed)
+    results = [run_property_target(t, ref, _nth_run(config, k), early_stop=early_stop)
+               for k, t in enumerate(targets)]
     rate = sum(r.success for r in results) / len(results)
     return PropertyTargetBatchResult(results, rate)
 
@@ -355,10 +309,8 @@ class LogpQedResult:
         }
 
 
-def run_logp_qed(ref: ReferenceSet, *, w_j: float = 1.0, w_qed: float = 10.0,
-                 population_size: int = 500, generations: int = 100,
-                 seed: int = 0, max_canonical_len: int = 81,
-                 threads: int = 1, archive_k: int = 50) -> LogpQedResult:
+def run_logp_qed(ref: ReferenceSet, config: EvolverConfig, *, w_j: float = 1.0,
+                 w_qed: float = 10.0) -> LogpQedResult:
     """Weighted combination of the penalized-logP objective and QED."""
     if w_j < 0 or w_qed < 0:
         raise ValueError("weights must be non-negative")
@@ -366,13 +318,7 @@ def run_logp_qed(ref: ReferenceSet, *, w_j: float = 1.0, w_qed: float = 10.0,
     def objective(graph: MolecularGraph, record: PropertyRecord) -> float:
         return w_j * record.j + w_qed * record.qed
 
-    config = EvolverConfig(
-        population_size=population_size, generations=generations,
-        schedule=BetaSchedule.const(0.0), use_discriminator=False,
-        seed=seed, max_canonical_len=max_canonical_len, threads=threads,
-        archive_k=archive_k,
-    )
-    result = run(config, ref, objective)
+    result = run(_without_discriminator(config), ref, objective)
     archive_scatter = [(e.record.logp_raw, e.record.qed) for e in result.archive]
     reference_scatter = [(r.logp_raw, r.qed) for r in ref.records]
     return LogpQedResult(result, archive_scatter, reference_scatter)
@@ -469,11 +415,8 @@ class BetaSweepResult:
         return {"rows": [r.to_dict() for r in self.rows]}
 
 
-def run_beta_sweep(ref: ReferenceSet, betas: list[float], *,
-                   seeds_per_beta: int = 3, population_size: int = 100,
-                   generations: int = 60, seed: int = 0,
-                   max_canonical_len: int = 81,
-                   threads: int = 1) -> BetaSweepResult:
+def run_beta_sweep(ref: ReferenceSet, config: EvolverConfig, betas: list[float], *,
+                   seeds_per_beta: int = 3) -> BetaSweepResult:
     """Unconstrained runs (discriminator always attached) across betas,
     averaged over seeds."""
     if not betas:
@@ -484,12 +427,8 @@ def run_beta_sweep(ref: ReferenceSet, betas: list[float], *,
         final_j: list[float] = []
         final_d: list[float] = []
         for s in range(seeds_per_beta):
-            result = run_unconstrained(
-                ref, beta=beta, use_discriminator=True,
-                population_size=population_size, generations=generations,
-                seed=seed * 1_000_003 + s, threads=threads,
-                max_canonical_len=max_canonical_len,
-            )
+            result = run(replace(_nth_run(config, s), schedule=BetaSchedule.const(beta),
+                                 use_discriminator=True), ref)
             j_traces.append([log.mean_j for log in result.logs])
             d_traces.append([log.mean_d for log in result.logs])
             final_j.extend(ind.score for ind in result.population)

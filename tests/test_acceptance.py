@@ -27,7 +27,6 @@ from molga.tasks import (
     run_beta_sweep,
     run_property_target_batch,
     run_random_baseline,
-    run_unconstrained,
 )
 
 from helpers import brute_force_isomorphic, connected_ok, valence_ok
@@ -39,13 +38,6 @@ pytestmark = pytest.mark.acceptance
 def bundle():
     ref, _ = load_reference(bundled_reference_path())
     return ref
-
-
-@pytest.fixture(scope="module")
-def fresh_sample_reference():
-    # large enough that per-generation reference samples essentially never
-    # repeat during a run, the regime the discriminator protocol assumes
-    return synthetic_reference(35_000, seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -169,8 +161,9 @@ class TestCriterion06OptimizationOrdering:
         methane_j = penalized_logp(parse_smiles("C"), bundle.prop_stats).j
         gains = []
         for seed in range(10):
-            ga = run_unconstrained(bundle, beta=0.0, use_discriminator=False,
-                                   population_size=100, generations=100, seed=seed)
+            ga = run(EvolverConfig(population_size=100, generations=100, seed=seed,
+                                   schedule=BetaSchedule.const(0.0),
+                                   use_discriminator=False), bundle)
             base = run_random_baseline(bundle, 10_000, seed=seed)
             wins += ga.best_trace[-1] > base.max_j
             margins.append(ga.best_trace[-1] - base.max_j)
@@ -194,10 +187,12 @@ class TestCriterion07DiversityEffect:
         wins = 0
         pairs = []
         for seed in self.PILOT_CONFIRMED_SEEDS:
-            r0 = run_unconstrained(ref, beta=0.0, use_discriminator=False,
-                                   population_size=200, generations=60, seed=seed)
-            r10 = run_unconstrained(ref, beta=10.0, population_size=200,
-                                    generations=60, seed=seed)
+            r0 = run(EvolverConfig(population_size=200, generations=60, seed=seed,
+                                   schedule=BetaSchedule.const(0.0),
+                                   use_discriminator=False), ref)
+            r10 = run(EvolverConfig(population_size=200, generations=60, seed=seed,
+                                    schedule=BetaSchedule.const(10.0),
+                                    use_discriminator=True), ref)
             m0, _ = mean_pairwise_tanimoto([i.graph.fingerprint() for i in r0.population])
             m10, _ = mean_pairwise_tanimoto([i.graph.fingerprint() for i in r10.population])
             wins += m10 < m0
@@ -239,8 +234,8 @@ class TestCriterion08AdaptiveRecovery:
 
 class TestCriterion09ConstrainedSuccess:
     def test_batch_improvement(self, bundle):
-        batch = run_constrained_batch(bundle, n_molecules=50, delta=0.4,
-                                      population_size=100, generations=20, seed=1)
+        batch = run_constrained_batch(bundle, EvolverConfig(population_size=100,
+                                      generations=20, seed=1), n_molecules=50, delta=0.4)
         # independent re-verification of every reported success
         violations = 0
         for res in batch.results:
@@ -259,9 +254,8 @@ class TestCriterion09ConstrainedSuccess:
 
 class TestCriterion10PropertyTargeting:
     def test_batch_success_rate(self, bundle):
-        batch = run_property_target_batch(bundle, n_targets=100,
-                                          population_size=100, generations=100,
-                                          seed=2)
+        batch = run_property_target_batch(bundle, EvolverConfig(population_size=100,
+                                          generations=100, seed=2), n_targets=100)
         ok = batch.success_rate >= 0.80
         report("10 property-targeting", ok, f"success {batch.success_rate:.2%}")
 
@@ -272,9 +266,9 @@ class TestCriterion11BetaSweep:
     # is what puts the three-point ordering and the beta=50 discriminator
     # band inside the same run length.
     def test_monotone_j_and_d_band(self, sweep_reference):
-        sweep = run_beta_sweep(sweep_reference, [0.0, 10.0, 50.0],
-                               seeds_per_beta=4, population_size=400,
-                               generations=120, seed=3, max_canonical_len=30)
+        sweep = run_beta_sweep(sweep_reference, EvolverConfig(population_size=400,
+                               generations=120, seed=3, max_canonical_len=30),
+                               [0.0, 10.0, 50.0], seeds_per_beta=4)
         finals = [row.final_mean_j for row in sweep.rows]
         monotone = finals[0] >= finals[1] >= finals[2]
         late_d = sweep.rows[2].late_mean_d

@@ -52,6 +52,31 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config({"seed": "abc"})
 
+    @pytest.mark.parametrize("doc", [
+        {"task": "adaptive_dt", "beta": 5.0},
+        {"task": "logp_qed", "use_discriminator": True},
+        {"task": "unconstrained", "adaptive": {"window": 3}},
+        {"task": "constrained_similarity", "initial_population": "seed.txt"},
+        {"task": "constrained_similarity", "snapshot_every": 5},
+        {"task": "property_target", "snapshot_every": 5},
+        {"task": "beta_sweep", "snapshot_every": 5},
+        {"task": "random_baseline", "snapshot_every": 5},
+        {"task": "random_baseline", "population_size": 20},
+        {"task": "random_baseline", "generations": 4},
+        {"task": "random_baseline", "elite_count": 3},
+        {"task": "logp_qed", "constrained": {"delta": 0.6}},
+        {"task": "unconstrained", "beta_sweep": {"seeds_per_beta": 1}},
+    ])
+    def test_key_the_task_does_not_read_rejected(self, doc):
+        with pytest.raises(ConfigError, match="does not read"):
+            parse_config(doc)
+
+    def test_key_at_its_default_accepted(self):
+        # a materialized config (run_report.json's echo) parses again
+        echo = parse_config({"task": "random_baseline"})
+        assert parse_config(echo) == echo
+        assert parse_config({"task": "adaptive_dt", "beta": 0.0})["task"] == "adaptive_dt"
+
 
 class TestReferenceLoading:
     def test_bundled_reference(self):
@@ -214,8 +239,11 @@ class TestRunDeterminism:
         assert main(["run", tiny_config, "--out", str(out)]) == 0
         code, _, err = _run_cli(["analyze", str(out), "--plot-data"], capsys)
         assert code == 0, err
-        assert (out / "analysis" / "snapshot_clusters.csv").exists()
-        assert (out / "analysis" / "snapshot_clusters_long.csv").exists()
+        rows = (out / "analysis" / "snapshot_clusters.csv").read_text().splitlines()[1:]
+        long_rows = (out / "analysis" / "snapshot_clusters_long.csv").read_text().splitlines()[1:]
+        assert rows and len(long_rows) == 4 * len(rows)
+        canonicals = [r.split(",")[1] for r in rows]
+        assert [r.split(",")[1] for r in long_rows] == [c for c in canonicals for _ in range(4)]
 
     def test_analyze_without_snapshots(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -228,6 +256,72 @@ class TestRunDeterminism:
         code, _, err = _run_cli(["analyze", str(out)], capsys)
         assert code == 1
         assert "snapshot" in err
+
+
+_SMALL = {"reference": {"synthetic": 150}, "population_size": 20, "generations": 4,
+          "seed": 3}
+
+
+class TestEveryKeyActs:
+    # each GA key a task accepts must reach its result
+    @pytest.mark.parametrize("task_doc, change", [
+        ({"task": "logp_qed"}, {"parent_selection": "top-fraction", "top_fraction": 0.05}),
+        ({"task": "logp_qed"}, {"elite_count": 10}),
+        ({"task": "logp_qed"}, {"max_genotype_len": 5}),
+        ({"task": "property_target", "property_target": {"targets": [3.0, 3.0, 1.0]}},
+         {"max_genotype_len": 5}),
+        ({"task": "property_target", "property_target": {"n_targets": 2}},
+         {"max_canonical_len": 5}),
+        ({"task": "constrained_similarity", "constrained": {"n_molecules": 2}},
+         {"max_canonical_len": 5}),
+        ({"task": "constrained_similarity", "constrained": {"n_molecules": 2}},
+         {"parent_selection": "top-fraction"}),
+        ({"task": "beta_sweep", "beta_sweep": {"betas": [0.0, 5.0], "seeds_per_beta": 1}},
+         {"max_genotype_len": 5}),
+        ({"task": "beta_sweep", "beta_sweep": {"betas": [0.0, 5.0], "seeds_per_beta": 1}},
+         {"elite_count": 10}),
+    ])
+    def test_changed_key_changes_result(self, task_doc, change):
+        base = run_task(parse_config({**_SMALL, **task_doc}), None)
+        changed = run_task(parse_config({**_SMALL, **task_doc, **change}), None)
+        assert changed["result"] != base["result"]
+
+
+class TestPinnedHashes:
+    # Hashes of small runs of every task, computed before the tasks shared
+    # one config builder. A mismatch means a task's behaviour changed: name
+    # that behaviour in the change that moves a hash, then update it here.
+    CASES = [
+        ({**_SMALL, "task": "unconstrained", "beta": 5.0},
+         "44b0734d90553deb3ce4ae06d4c35114797e4e94769d056bee12108cb741448a"),
+        ({**_SMALL, "task": "adaptive_dt", "adaptive": {"window": 2, "epsilon": 0.5}},
+         "f90cf8b12d0f98db489202fa173e8b1f6ecb1971c0e0bdb091f4bcc87d769a19"),
+        ({**_SMALL, "task": "constrained_similarity", "constrained": {"n_molecules": 2}},
+         "de6263a87bc2c43e80067ef71c599ac7a4a9155ebc2eb633a3dd7975d32c07d9"),
+        ({**_SMALL, "task": "constrained_similarity",
+          "constrained": {"reference_smiles": "CCOc1ccccc1"}},
+         "2ab9d6d1148d3d21b15b9ec82787b628c1c289f3da24940dae03709a3f5785b5"),
+        ({**_SMALL, "task": "property_target", "property_target": {"n_targets": 2}},
+         "3fe93ea605b3fcb21378756f177566394aa1ef7dcb1bb098967985de85ce66da"),
+        ({**_SMALL, "task": "property_target",
+          "property_target": {"targets": [3.0, 3.0, 1.0]}},
+         "12b045c0cfcffd11531194d2f2e7b70c1de15f46b197f7a6a2e28233184ed8e0"),
+        ({**_SMALL, "task": "logp_qed"},
+         "8752b8a6c6ed0fe255bcd9e00a7a2b654d036d5461079f784f2aa341f692a82d"),
+        ({**_SMALL, "task": "beta_sweep",
+          "beta_sweep": {"betas": [0.0, 5.0], "seeds_per_beta": 1}},
+         "18ec2aeb46cc9201c77048e542dfce95416117c4439b7c608d0bc163f56b1b49"),
+        ({"task": "random_baseline", "reference": {"synthetic": 150}, "seed": 3,
+          "random_baseline": {"n_samples": 200}},
+         "4c9c14b32e2cce0a84de6f25948406875d9838f001422bd245d2ae21af6ed524"),
+    ]
+
+    @pytest.mark.parametrize("doc, expected", CASES)
+    def test_task_hash_unchanged(self, doc, expected):
+        got = run_task(parse_config(doc), None)["determinism_hash"]
+        assert got == expected, (
+            f"{doc} now hashes to {got}: name the behaviour that changed on "
+            "purpose, then update the pinned hash")
 
 
 class TestSweepCommand:

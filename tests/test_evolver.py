@@ -181,14 +181,18 @@ class TestRun:
         assert [l.csv_row() for l in r1.logs] == [l.csv_row() for l in r2.logs]
         assert [e.canonical for e in r1.archive] == [e.canonical for e in r2.archive]
 
-    def test_threads_do_not_change_results(self, ref):
-        base = EvolverConfig(population_size=40, generations=8,
-                             schedule=BetaSchedule.const(0.0), seed=8, threads=1)
-        threaded = EvolverConfig(population_size=40, generations=8,
-                                 schedule=BetaSchedule.const(0.0), seed=8, threads=8)
-        r1 = run(base, ref)
-        r2 = run(threaded, ref)
-        assert [l.csv_row() for l in r1.logs] == [l.csv_row() for l in r2.logs]
+    def test_reused_config_reproduces_adaptive_run(self):
+        # the schedule keeps no state between runs, so a second run on the
+        # same config object starts again at the low weight
+        cfg = EvolverConfig(population_size=30, generations=25,
+                            schedule=BetaSchedule.adaptive(0.0, 1000.0, 3, 0.5),
+                            use_discriminator=True, seed=5)
+        ref = synthetic_reference(150, seed=0)
+        r1 = run(cfg, ref)
+        r2 = run(cfg, ref)
+        assert 1000.0 in r1.beta_trace and r1.beta_trace[0] == 0.0
+        assert r2.beta_trace == r1.beta_trace
+        assert [l.csv_row() for l in r2.logs] == [l.csv_row() for l in r1.logs]
 
     def test_archive_monotone(self, ref):
         cfg = EvolverConfig(population_size=50, generations=20,

@@ -12,7 +12,7 @@ class TestEndToEndRecovery:
     # scanning seeds 0-8 at this configuration; the scramble-then-recover
     # pattern is bistable per seed (a too-early scramble can trap the run
     # below its old best), so the exhibiting seed is frozen.
-    def test_trigger_drop_and_recovery(self):
+    def test_trigger_drop_and_recovery(self, fresh_sample_reference):
         from collections import Counter
 
         import numpy as np
@@ -20,9 +20,8 @@ class TestEndToEndRecovery:
         from molga.analysis import kmeans
         from molga.codec import decode, parse_genotype
         from molga.evolver import EvolverConfig, run
-        from molga.reference import synthetic_reference
 
-        ref = synthetic_reference(35_000, seed=7)
+        ref = fresh_sample_reference
         cfg = EvolverConfig(population_size=250, generations=300,
                             schedule=BetaSchedule.adaptive(0.0, 1000.0, 12, 0.75),
                             use_discriminator=True, seed=8,

@@ -3,9 +3,11 @@ import math
 import pytest
 
 from molga.codec import decode, parse_genotype
+from molga.evolver import EvolverConfig, run
 from molga.graph import fingerprint, parse_smiles, tanimoto
 from molga.props import penalized_logp
 from molga.reference import synthetic_reference
+from molga.schedules import BetaSchedule
 from molga.tasks import (
     PropertyTargets,
     SIMILARITY_PENALTY,
@@ -15,13 +17,11 @@ from molga.tasks import (
     first_trigger_generation,
     lowest_scoring_references,
     property_target_fitness,
-    run_adaptive,
     run_beta_sweep,
     run_constrained,
     run_logp_qed,
     run_property_target,
     run_random_baseline,
-    run_unconstrained,
 )
 
 
@@ -44,24 +44,24 @@ class TestConstrainedFitness:
 class TestRunConstrained:
     def test_delta_zero_any_improvement_succeeds(self, ref):
         graph = parse_smiles("CCOCC")
-        res = run_constrained(graph, ref, delta=0.0, population_size=40,
-                              generations=8, seed=0)
+        res = run_constrained(graph, ref, EvolverConfig(population_size=40,
+                              generations=8, seed=0), delta=0.0)
         assert res.error is None
         assert res.best_j is not None
         assert res.success == (res.improvement > 0)
 
     def test_delta_one_reports_no_qualifier(self, ref):
         graph = parse_smiles("CCOCC")
-        res = run_constrained(graph, ref, delta=1.0, population_size=30,
-                              generations=3, seed=1)
+        res = run_constrained(graph, ref, EvolverConfig(population_size=30,
+                              generations=3, seed=1), delta=1.0)
         assert res.best_canonical is None
         assert res.improvement == 0.0
         assert not res.success
 
     def test_winner_verified_against_fresh_fingerprints(self, ref):
         graph = parse_smiles("CCCCOC")
-        res = run_constrained(graph, ref, delta=0.4, population_size=60,
-                              generations=10, seed=2)
+        res = run_constrained(graph, ref, EvolverConfig(population_size=60,
+                              generations=10, seed=2), delta=0.4)
         if res.best_genotype is not None:
             # brute re-check: new decode, new fingerprints
             cand = decode(parse_genotype(res.best_genotype))
@@ -71,8 +71,8 @@ class TestRunConstrained:
 
     def test_population_starts_at_reference(self, ref):
         graph = parse_smiles("CCC")
-        res = run_constrained(graph, ref, delta=0.9999, population_size=20,
-                              generations=0, seed=3)
+        res = run_constrained(graph, ref, EvolverConfig(population_size=20,
+                              generations=0, seed=3), delta=0.9999)
         # with zero generations only the reference population exists; it is
         # its own best qualifier (sim == 1 > delta) with zero improvement
         assert res.best_canonical == graph.canonical()
@@ -115,16 +115,16 @@ class TestRunPropertyTarget:
     def test_methane_target_succeeds_at_generation_zero(self, ref):
         rec = penalized_logp(parse_smiles("C"), ref.prop_stats)
         targets = PropertyTargets(rec.logp_raw, rec.sa_raw, rec.ring_raw)
-        res = run_property_target(targets, ref, population_size=20,
-                                  generations=5, seed=0)
+        res = run_property_target(targets, ref, EvolverConfig(population_size=20,
+                                  generations=5, seed=0))
         assert res.success
         assert res.generations_used == 0
         assert res.best_ssd == pytest.approx(0.0)
 
     def test_infeasible_target_fails_cleanly(self, ref):
         targets = PropertyTargets(0.2, 0.05, -5.0)  # negative ring impossible
-        res = run_property_target(targets, ref, population_size=20,
-                                  generations=3, seed=1)
+        res = run_property_target(targets, ref, EvolverConfig(population_size=20,
+                                  generations=3, seed=1))
         assert not res.success
         assert res.best_ssd >= 25.0 - 1e6 and math.isfinite(res.best_ssd)
 
@@ -147,14 +147,15 @@ class TestRunPropertyTarget:
 
 class TestLogpQed:
     def test_zero_qed_weight_reduces_to_unconstrained(self, ref):
-        res = run_logp_qed(ref, w_j=1.0, w_qed=0.0, population_size=30,
-                           generations=5, seed=3)
-        base = run_unconstrained(ref, beta=0.0, use_discriminator=False,
-                                 population_size=30, generations=5, seed=3)
+        res = run_logp_qed(ref, EvolverConfig(population_size=30, generations=5,
+                           seed=3), w_j=1.0, w_qed=0.0)
+        base = run(EvolverConfig(population_size=30, generations=5, seed=3,
+                                 schedule=BetaSchedule.const(0.0),
+                                 use_discriminator=False), ref)
         assert [l.csv_row() for l in res.run.logs] == [l.csv_row() for l in base.logs]
 
     def test_tradeoff_witness(self, ref):
-        res = run_logp_qed(ref, population_size=60, generations=25, seed=4)
+        res = run_logp_qed(ref, EvolverConfig(population_size=60, generations=25, seed=4))
         scatter = res.archive_scatter
         best_logp = max(scatter, key=lambda p: p[0])
         best_qed = max(scatter, key=lambda p: p[1])
@@ -162,10 +163,11 @@ class TestLogpQed:
 
     def test_negative_weights_rejected(self, ref):
         with pytest.raises(ValueError):
-            run_logp_qed(ref, w_j=-1.0, population_size=10, generations=1, seed=0)
+            run_logp_qed(ref, EvolverConfig(population_size=10, generations=1, seed=0),
+                         w_j=-1.0)
 
     def test_scatter_shapes(self, ref):
-        res = run_logp_qed(ref, population_size=20, generations=3, seed=5)
+        res = run_logp_qed(ref, EvolverConfig(population_size=20, generations=3, seed=5))
         assert len(res.reference_scatter) == len(ref)
         assert all(len(p) == 2 for p in res.archive_scatter)
 
@@ -181,8 +183,8 @@ class TestLogpQed:
         logps = sorted(r.logp_raw for r in bundle.records)
         q99 = qeds[int(0.99 * len(qeds))]
         med = logps[len(logps) // 2]
-        res = run_logp_qed(bundle, w_j=1.0, w_qed=50.0, population_size=100,
-                           generations=100, seed=0)
+        res = run_logp_qed(bundle, EvolverConfig(population_size=100,
+                           generations=100, seed=0), w_j=1.0, w_qed=50.0)
         hits = [(lp, q) for lp, q in res.archive_scatter if q > q99 and lp > med]
         assert len(hits) >= 1
 
@@ -213,31 +215,38 @@ class TestRandomBaseline:
 
 class TestBetaSweep:
     def test_beta_zero_row_matches_unconstrained(self, ref):
-        sweep = run_beta_sweep(ref, [0.0], seeds_per_beta=1, population_size=25,
-                               generations=6, seed=9)
-        base = run_unconstrained(ref, beta=0.0, use_discriminator=True,
-                                 population_size=25, generations=6,
-                                 seed=9 * 1_000_003)
+        sweep = run_beta_sweep(ref, EvolverConfig(population_size=25,
+                               generations=6, seed=9), [0.0], seeds_per_beta=1)
+        base = run(EvolverConfig(population_size=25, generations=6,
+                                 seed=9 * 1_000_003, schedule=BetaSchedule.const(0.0),
+                                 use_discriminator=True), ref)
         assert sweep.rows[0].mean_j_trace == [l.mean_j for l in base.logs]
         assert sweep.rows[0].mean_d_trace == [l.mean_d for l in base.logs]
 
     def test_empty_betas_rejected(self, ref):
         with pytest.raises(ValueError):
-            run_beta_sweep(ref, [])
+            run_beta_sweep(ref, EvolverConfig(population_size=100, generations=60,
+                                              seed=0), [])
 
     def test_row_shapes(self, ref):
-        sweep = run_beta_sweep(ref, [0.0, 5.0], seeds_per_beta=2,
-                               population_size=20, generations=4, seed=0)
+        sweep = run_beta_sweep(ref, EvolverConfig(population_size=20, generations=4,
+                               seed=0), [0.0, 5.0], seeds_per_beta=2)
         assert len(sweep.rows) == 2
         for row in sweep.rows:
             assert len(row.mean_j_trace) == 5
             assert len(row.final_j_values) == 2 * 20
 
 
+def _run_adaptive(ref, window, population_size, generations, seed):
+    return run(EvolverConfig(population_size=population_size, generations=generations,
+                             seed=seed, schedule=BetaSchedule.adaptive(window=window),
+                             use_discriminator=True), ref)
+
+
 class TestAdaptive:
     def test_trigger_detection(self, ref):
-        res = run_adaptive(ref, window=3, population_size=25, generations=12,
-                           seed=2)
+        res = _run_adaptive(ref, window=3, population_size=25, generations=12,
+                            seed=2)
         trig = first_trigger_generation(res, 1000.0)
         if 1000.0 in res.beta_trace:
             assert trig == res.beta_trace.index(1000.0)
@@ -245,9 +254,9 @@ class TestAdaptive:
             assert trig is None
 
     def test_beta_trace_values(self, ref):
-        res = run_adaptive(ref, window=4, population_size=25, generations=10, seed=3)
+        res = _run_adaptive(ref, window=4, population_size=25, generations=10, seed=3)
         assert set(res.beta_trace) <= {0.0, 1000.0}
 
     def test_archive_monotone_in_adaptive_mode(self, ref):
-        res = run_adaptive(ref, window=3, population_size=30, generations=15, seed=5)
+        res = _run_adaptive(ref, window=3, population_size=30, generations=15, seed=5)
         assert all(b >= a - 1e-12 for a, b in zip(res.best_trace, res.best_trace[1:]))
