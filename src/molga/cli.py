@@ -93,6 +93,8 @@ def parse_config(doc: dict) -> dict:
             raise ConfigError(f"{key} must be a non-negative integer")
     if out["population_size"] < 1:
         raise ConfigError("population_size must be >= 1")
+    if out["archive_k"] < 1:
+        raise ConfigError("archive_k must be >= 1")
     if out["threads"] < 1:
         raise ConfigError("threads must be >= 1")
     if out["parent_selection"] not in ("uniform-survivors", "top-fraction"):
@@ -133,12 +135,17 @@ def load_config_reference(config: dict) -> tuple[ReferenceSet, dict]:
 
 def determinism_hash(report: dict) -> str:
     """SHA-256 over the report minus timing and execution-infrastructure
-    fields (thread count, output paths) that cannot affect results."""
+    fields (thread count, output and reference file paths) that cannot
+    affect results, so the same run hashes the same in any checkout."""
     stripped = {k: v for k, v in report.items() if k not in ("timing", "determinism_hash")}
     if isinstance(stripped.get("config"), dict):
         cfg = {k: v for k, v in stripped["config"].items()
-               if k not in ("threads", "output_dir")}
+               if k not in ("threads", "output_dir")
+               and not (k == "reference" and isinstance(v, str))}
         stripped["config"] = cfg
+    if isinstance(stripped.get("reference"), dict):
+        stripped["reference"] = {k: v for k, v in stripped["reference"].items()
+                                 if k != "path"}
     blob = json.dumps(stripped, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -173,6 +173,8 @@ class EvolverConfig:
             raise ValueError("generations must be >= 0")
         if not (0 <= self.elite_count <= self.population_size):
             raise ValueError("elite_count out of range")
+        if self.archive_k < 1:
+            raise ValueError("archive_k must be >= 1")
         if self.parent_selection not in ("uniform-survivors", "top-fraction"):
             raise ValueError(f"unknown parent_selection {self.parent_selection!r}")
 

@@ -11,7 +11,9 @@ cap minus the sum of its bond orders.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import MolgaError
@@ -785,11 +787,23 @@ def _fnv1a(data: bytes) -> int:
     return h
 
 
+# Hashed atom environments, memoized process-wide like codec._decode_cached:
+# GA children share almost all of their atom environments with their
+# parents. Cleared when full. An entry takes about 150 bytes in a GA run and
+# at most about 370 (nine unshared 64-bit ints), so at most about 12 MB.
+_HASH_MEMO_SIZE = 1 << 15
+_hash_memo: dict[tuple[int, ...], int] = {}
+
+
 def _hash_ints(values: Iterable[int]) -> int:
-    buf = bytearray()
-    for v in values:
-        buf.extend(int(v).to_bytes(8, "big", signed=False))
-    return _fnv1a(bytes(buf))
+    """FNV-1a-64 over the values as 8-byte big-endian unsigned ints."""
+    key = tuple(values)
+    h = _hash_memo.get(key)
+    if h is None:
+        if len(_hash_memo) >= _HASH_MEMO_SIZE:
+            _hash_memo.clear()
+        h = _hash_memo[key] = _fnv1a(struct.pack(f">{len(key)}Q", *key))
+    return h
 
 
 @dataclass(frozen=True)
@@ -820,14 +834,10 @@ def _fingerprint(g: MolecularGraph, radius: int, nbits: int) -> Fingerprint:
     ]
     bits: set[int] = {h % nbits for h in inv}
     for _ in range(radius):
-        new_inv = []
-        for i in range(g.n_atoms):
-            parts = [inv[i]]
-            for order, nbr_inv in sorted((o, inv[v]) for v, o in g.neighbors(i)):
-                parts.append(order)
-                parts.append(nbr_inv)
-            new_inv.append(_hash_ints(parts))
-        inv = new_inv
+        # an atom's invariant, then its (bond order, neighbor invariant) pairs in order
+        inv = [_hash_ints((inv[i], *chain.from_iterable(
+                   sorted((o, inv[v]) for v, o in g.neighbors(i)))))
+               for i in range(g.n_atoms)]
         bits.update(h % nbits for h in inv)
     return Fingerprint(nbits, frozenset(bits))
 

@@ -82,8 +82,8 @@ def run_constrained(reference_graph: MolecularGraph, ref: ReferenceSet,
     """Improve one molecule's objective while staying similar to it.
 
     The population starts as copies of the reference molecule, beta is 0,
-    and the reported winner is re-verified with a fresh decode and
-    fingerprint computation.
+    and the reported winner's similarity is re-verified on a new graph built
+    from its decoded atoms and bonds, not on cached state.
     """
     ref_record = penalized_logp(reference_graph, ref.prop_stats)
     out = ConstrainedResult(
@@ -106,9 +106,10 @@ def run_constrained(reference_graph: MolecularGraph, ref: ReferenceSet,
 
     best = None
     for entry in result.archive:
-        # independent re-computation from the genotype text, not cached state
+        # decode() returns the memoized graph, which carries the fingerprint
+        # the objective cached; a new graph recomputes it
         graph = decode(parse_genotype(entry.genotype_text))
-        sim = tanimoto(fingerprint(graph), ref_fp)
+        sim = tanimoto(fingerprint(MolecularGraph(graph.elements, graph.bond_list)), ref_fp)
         if sim > delta:
             j = penalized_logp(graph, ref.prop_stats).j
             if best is None or j > best[0]:

@@ -52,6 +52,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config({"seed": "abc"})
 
+    def test_empty_archive_rejected(self):
+        # an empty archive has no best entry, so every GA task would crash
+        doc = {"reference": {"synthetic": 150}, "population_size": 10,
+               "generations": 1, "archive_k": 0}
+        with pytest.raises(ConfigError, match="archive_k"):
+            run_task(parse_config(doc), None)
+
     @pytest.mark.parametrize("doc", [
         {"task": "adaptive_dt", "beta": 5.0},
         {"task": "logp_qed", "use_discriminator": True},
@@ -120,6 +127,21 @@ class TestDeterminismHash:
         a = {"result": [1, 2]}
         b = {"result": [1, 3]}
         assert determinism_hash(a) != determinism_hash(b)
+
+    def test_reference_location_excluded(self, tmp_path):
+        with open(bundled_reference_path()) as fh:
+            lines = fh.readlines()[:150]
+        reports = []
+        for name in ("a", "b"):
+            path = tmp_path / name / "ref.smi"
+            path.parent.mkdir()
+            path.write_text("".join(lines))
+            reports.append(run_task(parse_config({
+                "task": "random_baseline", "reference": str(path), "seed": 4,
+                "random_baseline": {"n_samples": 50}}), None))
+        a, b = reports
+        assert a["reference"]["path"] != b["reference"]["path"]  # still recorded
+        assert a["determinism_hash"] == b["determinism_hash"]
 
 
 def _run_cli(args, capsys):

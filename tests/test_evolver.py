@@ -236,6 +236,10 @@ class TestRun:
         with pytest.raises(ValueError):
             EvolverConfig(parent_selection="nope").validate()
 
+    def test_empty_archive_rejected(self, ref):
+        with pytest.raises(ValueError, match="archive_k"):
+            EvolverConfig(archive_k=0).validate()
+
     def test_generation_log_csv_shape(self, ref):
         cfg = EvolverConfig(population_size=15, generations=3,
                             schedule=BetaSchedule.const(0.0), seed=14)

@@ -10,6 +10,9 @@ from molga.graph import (
     SmilesSyntaxError,
     UnsupportedFeature,
     ValenceViolation,
+    _HASH_MEMO_SIZE,
+    _fnv1a,
+    _hash_ints,
     canonical,
     fingerprint,
     methane,
@@ -253,6 +256,60 @@ class TestFingerprint:
         arr = fingerprint(methane()).to_array()
         assert arr.shape == (1024,)
         assert arr.sum() == len(fingerprint(methane()).bits)
+
+
+class TestHashKernel:
+    def test_fnv1a_known_answers(self):
+        assert _fnv1a(b"") == 0xCBF29CE484222325
+        assert _fnv1a(b"a") == 0xAF63DC4C8601EC8C
+
+    def test_hash_ints_matches_byte_loop(self):
+        def byte_loop(values):
+            buf = bytearray()
+            for v in values:
+                buf.extend(v.to_bytes(8, "big"))
+            return _fnv1a(bytes(buf))
+
+        rng = random.Random(12)
+        inputs = [tuple(rng.getrandbits(rng.choice((3, 8, 64)))
+                        for _ in range(rng.randint(1, 9)))
+                  for _ in range(_HASH_MEMO_SIZE + 4000)]
+        assert len(set(inputs)) > _HASH_MEMO_SIZE  # the memo is cleared at least once
+        for values in inputs + inputs[:4000]:
+            assert _hash_ints(values) == byte_loop(values)
+        assert _hash_ints(list(inputs[0])) == byte_loop(inputs[0])
+
+
+class TestFingerprintBits:
+    # On bits captured before the hashed environments were memoized; any
+    # change to the hash, the invariants or the folding moves them.
+    CASES = [
+        ("c1ccccc1O", 2, 1024,
+         [28, 88, 95, 218, 230, 364, 414, 443, 466, 533, 792, 879, 900, 927, 1023]),
+        ("C1CC2CCC1C2", 2, 1024, [355, 396, 463, 684, 818, 826, 876, 918]),
+        ("O=C1NC(=O)c2ccccc21", 2, 1024,
+         [51, 95, 123, 230, 364, 396, 420, 466, 513, 558, 579, 588, 790, 792, 939, 1023]),
+        ("FC(F)(F)c1ccc2ncoc2c1", 2, 1024,
+         [5, 14, 95, 98, 120, 244, 316, 337, 364, 486, 493, 505, 507, 582, 602, 691,
+          756, 807, 818, 880, 919, 927, 985, 999, 1001, 1023]),
+        ("FC(F)(F)c1ccc2ncoc2c1", 3, 64,
+         [3, 5, 6, 14, 17, 21, 23, 25, 26, 27, 28, 31, 34, 38, 39, 41, 43, 44, 45, 47,
+          48, 50, 51, 52, 56, 57, 59, 60, 63]),
+        ("FC(F)(F)c1ccc2ncoc2c1", 0, 1024, [95, 505, 818, 927, 985, 1023]),
+        ("[=O][O][N][N][#N][=O][S][=N][C][Ring2][Branch1][=C][S][=O][S][Branch2][=C]"
+         "[Ring2][P][C][=C][=N][=C]", 2, 1024,
+         [49, 63, 109, 114, 126, 144, 222, 229, 317, 375, 386, 396, 464, 498, 530, 571,
+          588, 612, 620, 632, 640, 684, 701, 719, 774, 818, 820, 904, 927, 965, 1008]),
+        ("[#C][=C][N][C][N][O][S][#C][N][Ring1][Branch1][=O]", 2, 1024,
+         [23, 29, 83, 95, 214, 249, 327, 363, 373, 386, 400, 446, 472, 521, 584, 588,
+          653, 672, 684, 718, 778, 786, 818, 927, 965]),
+    ]
+
+    @pytest.mark.parametrize("source, radius, nbits, bits", CASES)
+    def test_bits_pinned(self, source, radius, nbits, bits):
+        mol = decode_text(source) if source.startswith("[") else parse_smiles(source)
+        fresh = MolecularGraph(mol.elements, mol.bond_list)
+        assert sorted(fresh.fingerprint(radius, nbits).bits) == bits
 
 
 class TestTanimoto:

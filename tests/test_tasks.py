@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from molga import tasks
 from molga.codec import decode, parse_genotype
 from molga.evolver import EvolverConfig, run
 from molga.graph import fingerprint, parse_smiles, tanimoto
@@ -68,6 +69,28 @@ class TestRunConstrained:
             sim = tanimoto(fingerprint(cand), fingerprint(parse_smiles("CCCCOC")))
             assert sim > 0.4
             assert res.verified
+
+    def test_winner_similarity_recomputed_on_a_fresh_graph(self, ref, monkeypatch):
+        # decode() returns the memoized graph with the fingerprint the
+        # objective cached on it; re-verifying on that graph checks nothing
+        archive, verified_on = [], []
+
+        def run_then_watch(*args, **kwargs):
+            result = run(*args, **kwargs)
+            archive.extend(result.archive)
+            monkeypatch.setattr(tasks, "fingerprint",
+                                lambda g: verified_on.append(g) or fingerprint(g))
+            return result
+
+        monkeypatch.setattr(tasks, "run", run_then_watch)
+        res = run_constrained(parse_smiles("CCCCOC"), ref, EvolverConfig(
+            population_size=30, generations=4, seed=2), delta=0.4)
+        assert res.verified
+        assert len(verified_on) == len(archive) > 0
+        for g, entry in zip(verified_on, archive):
+            memoized = decode(parse_genotype(entry.genotype_text))
+            assert g is not memoized
+            assert (g.elements, g.bond_list) == (memoized.elements, memoized.bond_list)
 
     def test_population_starts_at_reference(self, ref):
         graph = parse_smiles("CCC")
