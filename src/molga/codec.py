@@ -11,11 +11,12 @@ from __future__ import annotations
 import enum
 import itertools
 import re
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import MolgaError
-from .graph import VALENCE, MolecularGraph, methane
+from .graph import VALENCE, MolecularGraph
 
 
 class UnencodableGraph(MolgaError):
@@ -168,18 +169,32 @@ def decode(g: Genotype) -> MolecularGraph:
     methane.
 
     Pure function; results are memoized so repeated decodes share the same
-    graph object (and its cached canonical form).
+    graph object (and its cached canonical form), and genotypes that derive
+    the same atoms and bonds in the same order share one graph too.
     """
     return _decode_cached(g.symbols)
+
+
+# (elements, bond tuple) -> the one live graph with exactly that labelling.
+# Weak: an entry lives only as long as the decode memo or a caller holds its
+# graph, so the table keeps nothing alive by itself.
+_structures: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @lru_cache(maxsize=8192)
 def _decode_cached(symbols: tuple[Symbol, ...]) -> MolecularGraph:
     b = _Builder()
     _derive(b, list(symbols), None)
-    if not b.elements:
-        return methane()
-    return MolecularGraph(b.elements, [(i, j, o) for (i, j), o in b.bonds.items()])
+    if b.elements:
+        key = (tuple(b.elements), tuple((i, j, o) for (i, j), o in b.bonds.items()))
+    else:
+        key = (("C",), ())  # methane
+    g = _structures.get(key)
+    if g is None:
+        g = MolecularGraph(*key)
+        # an equal key made of the graph's own tuples, so none are held twice
+        _structures[g.elements, g.bond_list] = g
+    return g
 
 
 def _derive(b: _Builder, window: list[Symbol], root: int | None) -> None:

@@ -59,7 +59,7 @@ class MolecularGraph:
     indices are rejected outright.
     """
 
-    __slots__ = ("elements", "bond_list", "bonds", "_adj", "_cache")
+    __slots__ = ("elements", "bond_list", "bonds", "_adj", "_cache", "__weakref__")
 
     def __init__(self, elements: Sequence[str], bonds: Iterable[tuple[int, int, int]]):
         self.elements: tuple[str, ...] = tuple(elements)
@@ -186,11 +186,6 @@ def validate(g: MolecularGraph) -> list[str]:
         if missing:
             problems.append(f"disconnected atoms: {missing}")
     return problems
-
-
-def rings(g: MolecularGraph) -> list[tuple[int, ...]]:
-    """Minimum cycle basis as tuples of atom indices (one entry per cycle)."""
-    return list(g.ring_basis())
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +348,13 @@ def _minimum_cycle_basis(g: MolecularGraph) -> tuple[tuple[int, ...], ...]:
     target_rank = len(g.bonds) - g.n_atoms + n_components
     if target_rank <= 0:
         return ()
+    if target_rank == 1:
+        # the graph's one cycle is its only candidate
+        return tuple(_fundamental_cycles(g))
+    return _basis_by_elimination(g, target_rank)
 
+
+def _basis_by_elimination(g: MolecularGraph, target_rank: int) -> tuple[tuple[int, ...], ...]:
     eidx = _edge_index_map(g)
     candidates: dict[int, tuple[int, ...]] = {}  # edge mask -> atom tuple
 

@@ -67,7 +67,12 @@ def _logp_raw(g: MolecularGraph) -> float:
 
 
 def sa_raw(g: MolecularGraph) -> float:
-    """Complexity surrogate: size, branching, rings, element variety."""
+    """Complexity surrogate: size, branching, rings, element variety.
+    Memoized on the graph."""
+    return g.memo("sa_raw", _sa_raw)
+
+
+def _sa_raw(g: MolecularGraph) -> float:
     n_branch = sum(1 for i in range(g.n_atoms) if g.degree(i) >= 3)
     n_rings = len(g.ring_basis())
     n_distinct = len(set(g.elements))
@@ -75,7 +80,11 @@ def sa_raw(g: MolecularGraph) -> float:
 
 
 def ring_penalty_raw(g: MolecularGraph) -> float:
-    """Linear penalty on basis cycles larger than 6."""
+    """Linear penalty on basis cycles larger than 6. Memoized on the graph."""
+    return g.memo("ring_penalty_raw", _ring_penalty_raw)
+
+
+def _ring_penalty_raw(g: MolecularGraph) -> float:
     return float(sum(max(0, len(cyc) - 6) for cyc in g.ring_basis()))
 
 
@@ -85,7 +94,12 @@ def _desirability(x: float, x0: float, w: float) -> float:
 
 def qed(g: MolecularGraph) -> float:
     """Drug-likeness surrogate in (0, 1]: geometric mean of four Gaussian
-    desirabilities (heavy atoms, logP, ring count, heteroatom fraction)."""
+    desirabilities (heavy atoms, logP, ring count, heteroatom fraction).
+    Memoized on the graph."""
+    return g.memo("qed", _qed)
+
+
+def _qed(g: MolecularGraph) -> float:
     n = g.n_atoms
     het = sum(1 for el in g.elements if el != "C") / n
     d = (

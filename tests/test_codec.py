@@ -1,7 +1,10 @@
+import gc
 import random
+import weakref
 
 import pytest
 
+from molga import codec
 from molga.codec import (
     N_SYMBOLS,
     PHENYL_SYMBOLS,
@@ -14,7 +17,24 @@ from molga.codec import (
     parse_genotype,
     random_genotype,
 )
-from molga.graph import MolecularGraph, canonical
+from molga.discriminator import featurize
+from molga.graph import (
+    MolecularGraph,
+    _canonical_string,
+    _fingerprint,
+    _minimum_cycle_basis,
+    canonical,
+)
+from molga.props import (
+    _logp_raw,
+    _qed,
+    _ring_penalty_raw,
+    _sa_raw,
+    logp_raw,
+    qed,
+    ring_penalty_raw,
+    sa_raw,
+)
 
 from helpers import brute_force_isomorphic, connected_ok, enumerate_simple_cycles, valence_ok
 
@@ -234,3 +254,51 @@ class TestLocality:
         base = parse_genotype("[C][C][C]")
         swapped = parse_genotype("[C][O][C]")
         assert canonical(decode(base)) != canonical(decode(swapped))
+
+
+def memoized(mol):
+    """Every value memoized on a graph, and the features read from them."""
+    return (mol.canonical(), mol.ring_basis(), logp_raw(mol), sa_raw(mol),
+            ring_penalty_raw(mol), qed(mol), mol.fingerprint(), tuple(featurize(mol)))
+
+
+def computed(mol):
+    """The same values, each computed directly rather than read from the memo."""
+    return (_canonical_string(mol), _minimum_cycle_basis(mol), _logp_raw(mol), _sa_raw(mol),
+            _ring_penalty_raw(mol), _qed(mol), _fingerprint(mol, 2, 1024), tuple(featurize(mol)))
+
+
+class TestStructureTable:
+    def test_same_structure_same_object(self):
+        # the trailing branch misses its operand and is skipped
+        assert g("[C][C]") is g("[C][C][Branch1]")
+        # no derivable atom: the methane fallback is the graph [C] decodes to
+        assert g("[Branch1][C]") is g("[C]")
+
+    def test_relabelled_structure_distinct_object(self):
+        a, b = g("[O][C][C]"), g("[C][C][O]")
+        assert a is not b
+        assert canonical(a) == canonical(b)
+
+    def test_keeps_nothing_alive(self, monkeypatch):
+        monkeypatch.setattr(codec, "_structures", weakref.WeakValueDictionary())
+        codec._decode_cached.cache_clear()
+        rng = random.Random(17)
+        mols = [decode(random_genotype(rng, 30)) for _ in range(300)]
+        assert len(codec._structures) > 0
+        codec._decode_cached.cache_clear()
+        del mols
+        gc.collect()
+        assert len(codec._structures) == 0
+
+    def test_shared_graph_values_match_a_fresh_graph(self):
+        rng = random.Random(23)
+        decoded = [(gt.symbols, decode(gt))
+                   for gt in (random_genotype(rng, 20) for _ in range(600))]
+        for _, mol in decoded:
+            memoized(mol)  # the first genotype of each structure fills its memo
+        mols = {id(mol): mol for _, mol in decoded}
+        assert len(mols) < len({symbols for symbols, _ in decoded})
+        assert len(mols) >= 300
+        for mol in mols.values():
+            assert memoized(mol) == computed(MolecularGraph(mol.elements, mol.bond_list))

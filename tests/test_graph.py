@@ -11,13 +11,14 @@ from molga.graph import (
     UnsupportedFeature,
     ValenceViolation,
     _HASH_MEMO_SIZE,
+    _basis_by_elimination,
     _fnv1a,
     _hash_ints,
+    _minimum_cycle_basis,
     canonical,
     fingerprint,
     methane,
     parse_smiles,
-    rings,
     tanimoto,
     validate,
 )
@@ -61,15 +62,15 @@ class TestValidate:
 class TestRings:
     def test_cyclopentane(self):
         mol = decode_text("[C][C][C][C][C][Ring1][#C]")
-        basis = rings(mol)
+        basis = list(mol.ring_basis())
         assert len(basis) == 1 and len(basis[0]) == 5
 
     def test_acyclic(self):
-        assert rings(decode_text("[C][C][C]")) == []
+        assert list(decode_text("[C][C][C]").ring_basis()) == []
 
     def test_naphthalene_two_six_cycles(self):
         mol = parse_smiles("c1ccc2ccccc2c1")
-        basis = rings(mol)
+        basis = list(mol.ring_basis())
         assert sorted(len(c) for c in basis) == [6, 6]
         # oracle: brute-force enumeration contains exactly these sizes
         all_cycles = enumerate_simple_cycles(mol)
@@ -79,14 +80,28 @@ class TestRings:
         rng = random.Random(5)
         for _ in range(500):
             mol = decode(random_genotype(rng, 50))
-            assert len(rings(mol)) == len(mol.bonds) - mol.n_atoms + 1
+            assert len(list(mol.ring_basis())) == len(mol.bonds) - mol.n_atoms + 1
 
     def test_spiro_shares_one_atom(self):
         # two triangles sharing one atom
         mol = MolecularGraph(
             ["C"] * 5,
             [(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1), (3, 4, 1), (2, 4, 1)])
-        assert sorted(len(c) for c in rings(mol)) == [3, 3]
+        assert sorted(len(c) for c in list(mol.ring_basis())) == [3, 3]
+
+    def test_one_ring_basis_matches_elimination(self):
+        rng = random.Random(41)
+        unicyclic = {}
+        while len(unicyclic) < 2_000:
+            mol = decode(random_genotype(rng, 40))
+            if len(mol.bonds) - mol.n_atoms + 1 == 1:
+                unicyclic[mol.elements, mol.bond_list] = mol
+        for mol in unicyclic.values():
+            for labelled in (mol, permuted(mol, rng)):
+                assert _minimum_cycle_basis(labelled) == _basis_by_elimination(labelled, 1)
+        # disconnected: a ring beside a chain
+        mol = MolecularGraph(["C"] * 6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (1, 3, 1), (4, 5, 1)])
+        assert _minimum_cycle_basis(mol) == _basis_by_elimination(mol, 1) == ((1, 2, 3),)
 
 
 def decode_text(text):
@@ -146,7 +161,7 @@ class TestParseSmiles:
         mol = parse_smiles("c1ccccc1")
         assert sorted(mol.bonds.values()) == [1, 1, 1, 2, 2, 2]
         assert validate(mol) == []
-        assert len(rings(mol)) == 1
+        assert len(list(mol.ring_basis())) == 1
         # alternation: no atom carries two doubles
         for i in range(6):
             doubles = sum(1 for _, o in mol.neighbors(i) if o == 2)
@@ -214,7 +229,7 @@ class TestParseSmiles:
     def test_biphenyl_link_single(self):
         mol = parse_smiles("c1ccccc1c1ccccc1")
         assert validate(mol) == []
-        assert len(rings(mol)) == 2
+        assert len(list(mol.ring_basis())) == 2
 
     def test_overvalent_rejected(self):
         with pytest.raises(ValenceViolation):
@@ -222,7 +237,7 @@ class TestParseSmiles:
 
     def test_percent_ring_closure(self):
         mol = parse_smiles("C%10CCC%10")
-        assert len(rings(mol)) == 1
+        assert len(list(mol.ring_basis())) == 1
 
     def test_explicit_bond_orders(self):
         mol = parse_smiles("C-C=CC#N")

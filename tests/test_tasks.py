@@ -5,7 +5,7 @@ import pytest
 from molga import tasks
 from molga.codec import decode, parse_genotype
 from molga.evolver import EvolverConfig, run
-from molga.graph import fingerprint, parse_smiles, tanimoto
+from molga.graph import MolecularGraph, fingerprint, parse_smiles, tanimoto
 from molga.props import penalized_logp
 from molga.reference import synthetic_reference
 from molga.schedules import BetaSchedule
@@ -63,12 +63,13 @@ class TestRunConstrained:
         graph = parse_smiles("CCCCOC")
         res = run_constrained(graph, ref, EvolverConfig(population_size=60,
                               generations=10, seed=2), delta=0.4)
-        if res.best_genotype is not None:
-            # brute re-check: new decode, new fingerprints
-            cand = decode(parse_genotype(res.best_genotype))
-            sim = tanimoto(fingerprint(cand), fingerprint(parse_smiles("CCCCOC")))
-            assert sim > 0.4
-            assert res.verified
+        assert res.best_genotype is not None
+        # brute re-check: a new graph, so new fingerprints
+        decoded = decode(parse_genotype(res.best_genotype))
+        cand = MolecularGraph(decoded.elements, decoded.bond_list)
+        sim = tanimoto(fingerprint(cand), fingerprint(parse_smiles("CCCCOC")))
+        assert sim > 0.4
+        assert res.verified
 
     def test_winner_similarity_recomputed_on_a_fresh_graph(self, ref, monkeypatch):
         # decode() returns the memoized graph with the fingerprint the
