@@ -77,7 +77,12 @@ def _max_chain_length(g: MolecularGraph) -> int:
 
 
 def featurize(g: MolecularGraph) -> np.ndarray:
-    """16-dimensional topological/property descriptor vector."""
+    """16-dimensional topological/property descriptor vector, computed once
+    per graph. Read-only: every individual holding the graph shares it."""
+    return g.memo("features", _featurize)
+
+
+def _featurize(g: MolecularGraph) -> np.ndarray:
     n = g.n_atoms
     counts = {el: 0 for el in ("C", "N", "O", "S", "P", "F")}
     for el in g.elements:
@@ -89,7 +94,7 @@ def featurize(g: MolecularGraph) -> np.ndarray:
     n_bonds = len(g.bonds)
     n_multi = sum(1 for o in g.bonds.values() if o >= 2)
     het = (n - counts["C"]) / n
-    return np.array([
+    features = np.array([
         counts["C"] / n,
         counts["N"] / n,
         counts["O"] / n,
@@ -107,6 +112,8 @@ def featurize(g: MolecularGraph) -> np.ndarray:
         qed(g),
         (n_multi / n_bonds) if n_bonds else 0.0,
     ], dtype=np.float64)
+    features.flags.writeable = False
+    return features
 
 
 @dataclass

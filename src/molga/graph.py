@@ -11,6 +11,7 @@ cap minus the sum of its bond orders.
 
 from __future__ import annotations
 
+import heapq
 import struct
 from dataclasses import dataclass
 from itertools import chain
@@ -199,7 +200,7 @@ def _edge_index_map(g: MolecularGraph) -> dict[tuple[int, int], int]:
     return {e: i for i, e in enumerate(sorted(g.bonds))}
 
 
-def _cycle_mask(cycle: tuple[int, ...], eidx: dict[tuple[int, int], int]) -> int:
+def _cycle_mask(cycle: Sequence[int], eidx: dict[tuple[int, int], int]) -> int:
     mask = 0
     k = len(cycle)
     for i in range(k):
@@ -210,40 +211,34 @@ def _cycle_mask(cycle: tuple[int, ...], eidx: dict[tuple[int, int], int]) -> int
 
 
 def _canonical_cycle(atoms: list[int]) -> tuple[int, ...]:
-    """Rotate/reflect a cycle's atom list into a deterministic form."""
-    k = len(atoms)
-    lowest = min(atoms)
-    best: tuple[int, ...] | None = None
-    for start in (i for i, a in enumerate(atoms) if a == lowest):
-        for step in (1, -1):
-            cand = tuple(atoms[(start + step * i) % k] for i in range(k))
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
+    """Rotate/reflect a cycle's atom list into a deterministic form: from its
+    lowest atom, towards the lower of that atom's two cycle neighbors."""
+    start = atoms.index(min(atoms))  # a simple cycle: every atom appears once
+    return tuple(min(atoms[start:] + atoms[:start], atoms[start::-1] + atoms[:start:-1]))
 
 
-def _shortest_path_avoiding(g: MolecularGraph, src: int, dst: int,
-                            skip: tuple[int, int]) -> list[int] | None:
-    """BFS path src..dst that never crosses the `skip` edge."""
-    if src == dst:
-        return [src]
-    parent: dict[int, int] = {src: -1}
+def _shortest_cycle_mask(adj: list[list[tuple[int, int]]], src: int, dst: int,
+                         skip: int) -> tuple[list[int], int] | None:
+    """BFS path src..dst over `adj` ((neighbor, edge bit) lists) that never
+    crosses the `skip` edge, with the edge mask of the cycle it closes."""
+    parent: dict[int, tuple[int, int]] = {src: (-1, 0)}
     queue = [src]
     while queue:
         nxt: list[int] = []
         for u in queue:
-            for v, _ in g.neighbors(u):
-                e = (u, v) if u < v else (v, u)
-                if e == skip or v in parent:
+            for v, bit in adj[u]:
+                if bit == skip or v in parent:
                     continue
-                parent[v] = u
+                parent[v] = (u, bit)
                 if v == dst:
                     path = [v]
-                    while path[-1] != src:
-                        path.append(parent[path[-1]])
+                    mask = skip
+                    while v != src:
+                        v, bit = parent[v]
+                        mask |= bit
+                        path.append(v)
                     path.reverse()
-                    return path
+                    return path, mask
                 nxt.append(v)
         queue = nxt
     return None
@@ -252,7 +247,7 @@ def _shortest_path_avoiding(g: MolecularGraph, src: int, dst: int,
 def _bridges(g: MolecularGraph) -> set[tuple[int, int]]:
     """Edges not on any cycle (iterative low-link)."""
     n = g.n_atoms
-    adj = g.int_adjacency()
+    adj = g._adj
     disc = [-1] * n
     low = [0] * n
     out: set[tuple[int, int]] = set()
@@ -260,57 +255,53 @@ def _bridges(g: MolecularGraph) -> set[tuple[int, int]]:
     for root in range(n):
         if disc[root] != -1:
             continue
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
+        disc[root] = low[root] = counter
+        counter += 1
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
-            u, parent, idx = stack.pop()
-            if idx == 0:
-                disc[u] = low[u] = counter
-                counter += 1
-            advanced = False
-            nbrs = adj[u]
-            while idx < len(nbrs):
-                v = nbrs[idx]
-                idx += 1
-                if v == parent:
-                    # skip exactly one parent edge occurrence (no parallels here)
-                    parent = -2
+            u, parent, nbrs = stack[-1]
+            for v, _ in nbrs:
+                if v == parent:  # no parallel bonds, so this is the tree edge
                     continue
                 if disc[v] == -1:
-                    stack.append((u, parent, idx))
-                    stack.append((v, u, 0))
-                    advanced = True
+                    disc[v] = low[v] = counter
+                    counter += 1
+                    stack.append((v, u, iter(adj[v])))
                     break
-                low[u] = min(low[u], disc[v])
-            if not advanced and stack:
-                pu, _, _ = stack[-1]
-                low[pu] = min(low[pu], low[u])
-                if low[u] > disc[pu]:
-                    out.add((pu, u) if pu < u else (u, pu))
+                if disc[v] < low[u]:
+                    low[u] = disc[v]
+            else:
+                stack.pop()
+                if parent != -1:
+                    if low[u] < low[parent]:
+                        low[parent] = low[u]
+                    if low[u] > disc[parent]:
+                        out.add((parent, u) if parent < u else (u, parent))
     return out
 
 
-def _fundamental_cycles(g: MolecularGraph) -> list[tuple[int, ...]]:
-    parent: dict[int, int] = {}
-    depth: dict[int, int] = {}
-    tree_edges: set[tuple[int, int]] = set()
-    cycles: list[tuple[int, ...]] = []
-    for root in range(g.n_atoms):
-        if root in parent:
+def _fundamental_cycles(g: MolecularGraph) -> list[list[int]]:
+    """The cycle each non-tree bond closes in a DFS spanning forest, as an
+    atom sequence in walk order."""
+    n = g.n_atoms
+    parent = [-2] * n  # -2: not reached yet, -1: a root
+    depth = [0] * n
+    cycles: list[list[int]] = []
+    for root in range(n):
+        if parent[root] != -2:
             continue
         parent[root] = -1
-        depth[root] = 0
         stack = [root]
         while stack:
             u = stack.pop()
-            for v, _ in g.neighbors(u):
-                if v not in parent:
+            for v, _ in g._adj[u]:
+                if parent[v] == -2:
                     parent[v] = u
                     depth[v] = depth[u] + 1
-                    tree_edges.add((u, v) if u < v else (v, u))
                     stack.append(v)
-    for a, b in sorted(g.bonds):
-        if (a, b) in tree_edges:
-            continue
+    for a, b in g.bonds:
+        if parent[b] == a or parent[a] == b:
+            continue  # a tree edge
         # walk both endpoints up to their common ancestor
         pa, pb = a, b
         left, right = [a], [b]
@@ -325,51 +316,41 @@ def _fundamental_cycles(g: MolecularGraph) -> list[tuple[int, ...]]:
             pb = parent[pb]
             left.append(pa)
             right.append(pb)
-        cycle = left + right[-2::-1]  # drop duplicated ancestor
-        cycles.append(_canonical_cycle(cycle))
+        cycles.append(left + right[-2::-1])  # drop duplicated ancestor
     return cycles
 
 
 def _minimum_cycle_basis(g: MolecularGraph) -> tuple[tuple[int, ...], ...]:
-    n_components = 0
-    seen: set[int] = set()
-    for root in range(g.n_atoms):
-        if root in seen:
-            continue
-        n_components += 1
-        seen.add(root)
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, _ in g.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-    target_rank = len(g.bonds) - g.n_atoms + n_components
-    if target_rank <= 0:
-        return ()
-    if target_rank == 1:
-        # the graph's one cycle is its only candidate
-        return tuple(_fundamental_cycles(g))
-    return _basis_by_elimination(g, target_rank)
+    # a spanning forest leaves out one bond per independent cycle
+    cycles = _fundamental_cycles(g)
+    if len(cycles) <= 1:
+        # no cycle, or the graph's one cycle is its only candidate
+        return tuple(_canonical_cycle(c) for c in cycles)
+    return _basis_by_elimination(g, len(cycles))
 
 
 def _basis_by_elimination(g: MolecularGraph, target_rank: int) -> tuple[tuple[int, ...], ...]:
     eidx = _edge_index_map(g)
     candidates: dict[int, tuple[int, ...]] = {}  # edge mask -> atom tuple
-
-    def consider(cycle: tuple[int, ...]) -> None:
-        candidates.setdefault(_cycle_mask(cycle, eidx), cycle)
-
+    # A shortest path between two atoms of a ring never crosses a bridge, so
+    # the BFS runs over ring bonds only and finds the same parents.
     bridges = _bridges(g)
-    for a, b in sorted(g.bonds):
+    ring_adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n_atoms)]
+    for (a, b), k in eidx.items():  # sorted bonds, so each list is sorted by neighbor
+        if (a, b) not in bridges:
+            ring_adj[a].append((b, 1 << k))
+            ring_adj[b].append((a, 1 << k))
+    # only a cycle with a new edge mask is put into canonical form
+    for (a, b), k in eidx.items():
         if (a, b) in bridges:
-            continue  # no cycle through a bridge
-        path = _shortest_path_avoiding(g, a, b, (a, b))
-        if path is not None:
-            consider(_canonical_cycle(path))
+            continue
+        found = _shortest_cycle_mask(ring_adj, a, b, 1 << k)
+        if found is not None and found[1] not in candidates:
+            candidates[found[1]] = _canonical_cycle(found[0])
     for cyc in _fundamental_cycles(g):
-        consider(cyc)
+        mask = _cycle_mask(cyc, eidx)
+        if mask not in candidates:
+            candidates[mask] = _canonical_cycle(cyc)
 
     def invariant_key(cycle: tuple[int, ...]):
         # labeling-independent ordering: length, then multisets of local atom
@@ -414,16 +395,24 @@ def _refined_ranks(g: MolecularGraph) -> list[int]:
     if "ranks" in g._cache:
         return g._cache["ranks"]
     n = g.n_atoms
+    adj = g._adj
     ring = g.ring_atoms()
+    order_sum = [0] * n
+    for (a, b), o in g.bonds.items():
+        order_sum[a] += o
+        order_sum[b] += o
     sig: list = [
-        (g.elements[i], g.degree(i), g.bond_order_sum(i), i in ring)
+        (g.elements[i], len(adj[i]), order_sum[i], i in ring)
         for i in range(n)
     ]
     ranks = _ranks_from_signatures(sig)
     n_classes = len(set(ranks))
     for _ in range(n):
+        if n_classes == n:
+            break  # every atom has its own class: refinement keeps the ranks
+        # (bond order, neighbor rank) pairs as o * n + rank, which sort alike
         sig = [
-            (ranks[i], tuple(sorted((o, ranks[v]) for v, o in g.neighbors(i))))
+            (ranks[i], tuple(sorted([o * n + ranks[v] for v, o in adj[i]])))
             for i in range(n)
         ]
         new_ranks = _ranks_from_signatures(sig)
@@ -442,6 +431,10 @@ def _ranks_from_signatures(sig: list) -> list[int]:
 
 
 _BOND_CHAR = {1: "", 2: "=", 3: "#"}
+_DIGIT_TEXT = [str(d) if d < 10 else f"%{d:02d}" for d in range(100)]
+
+# One DFS step from atom u: (u, v, bond order, v newly visited).
+_Step = tuple[int, int, int, bool]
 
 
 def _canonical_string(g: MolecularGraph) -> str:
@@ -449,110 +442,109 @@ def _canonical_string(g: MolecularGraph) -> str:
     if n == 1:
         return g.elements[0]
     ranks = _refined_ranks(g)
+    # each atom's bonds in the order the DFS takes them (by neighbor rank,
+    # then neighbor index), with the bond's bit in the `done` mask and the
+    # neighbor's bit in the `seen` mask
+    bond_bit: dict[int, int] = {}
+    order = []
+    for u, nbrs in enumerate(g._adj):
+        bonds = []
+        for v, o in nbrs:
+            if v < u:
+                b = bond_bit[v * n + u]
+            else:
+                b = bond_bit[u * n + v] = 1 << len(bond_bit)
+            bonds.append((ranks[v], v, o, b, 1 << v))
+        bonds.sort()
+        order.append(bonds)
     lowest = min(ranks)
-    best: list[str | None] = [None]
+    renders: list[str] = []
     for start in range(n):
         if ranks[start] == lowest:
-            _enumerate_traversals(g, start, ranks, best)
-    assert best[0] is not None
-    return best[0]
+            _traverse(order, g.elements, start, (start, None), 0, 1 << start, [], renders)
+    return min(renders)
 
 
-def _enumerate_traversals(g: MolecularGraph, start: int, ranks: list[int],
-                          best: list[str | None]) -> None:
-    """DFS from `start`; tied neighbor orderings are all tried, and `best`
-    keeps the minimal rendered string."""
-    pos: dict[int, int] = {start: 0}
-    children: dict[int, list[int]] = {start: []}
-    closure_edges: list[tuple[int, int]] = []  # processing order
-    classified: set[tuple[int, int]] = set()
+def _traverse(order: list[list[tuple[int, int, int, int, int]]], elements: tuple[str, ...],
+              start: int, stack: tuple | None, done: int, seen: int,
+              steps: list[_Step], renders: list[str]) -> None:
+    """Walk the DFS from this state to its end and render it into `renders`.
 
-    def finish() -> None:
-        s = _render(g, start, children, closure_edges, pos)
-        if best[0] is None or s < best[0]:
-            best[0] = s
-
-    def process(stack: list[int]) -> None:
-        if not stack:
-            finish()
-            return
-        u = stack[-1]
-        pending = []
-        for v, _ in g.neighbors(u):
-            e = (u, v) if u < v else (v, u)
-            if e not in classified:
-                pending.append(v)
+    The DFS stack is a linked list of (atom, rest) pairs, and `done` and
+    `seen` are bit masks of the processed bonds and the visited atoms, so a
+    state is never changed in place; `steps` only grows. When the top atom's
+    pending bonds tie on the lowest neighbor rank, the first is taken here
+    and each other one is taken from the same state in its own call."""
+    while stack is not None:
+        u, rest = stack
+        pending = [bond for bond in order[u] if not done & bond[3]]
         if not pending:
-            process(stack[:-1])
-            return
-        min_rank = min(ranks[v] for v in pending)
-        group = [v for v in pending if ranks[v] == min_rank]
-        for v in group:
-            e = (u, v) if u < v else (v, u)
-            classified.add(e)
-            if v in pos:
-                closure_edges.append((u, v))
-                process(stack)
-                closure_edges.pop()
-            else:
-                pos[v] = len(pos)
-                children[v] = []
-                children[u].append(v)
-                process(stack + [v])
-                children[u].pop()
-                del children[v]
-                del pos[v]
-            classified.discard(e)
-
-    process([start])
+            stack = rest
+            continue
+        rank, v, o, b, vb = pending[0]
+        if len(pending) > 1 and pending[1][0] == rank:
+            mark = len(steps)
+            for r, v2, o2, b2, vb2 in pending[1:]:
+                if r != rank:
+                    break
+                steps.append((u, v2, o2, not seen & vb2))
+                _traverse(order, elements, start, stack if seen & vb2 else (v2, stack),
+                          done | b2, seen | vb2, steps, renders)
+                del steps[mark:]
+        steps.append((u, v, o, not seen & vb))
+        if not seen & vb:
+            stack = (v, stack)
+        done |= b
+        seen |= vb
+    renders.append(_render(elements, start, steps))
 
 
-def _render(g: MolecularGraph, start: int, children: dict[int, list[int]],
-            closure_edges: list[tuple[int, int]], pos: dict[int, int]) -> str:
-    # Closure digits: the earlier-visited endpoint opens, the later closes.
+def _render(elements: tuple[str, ...], start: int, steps: list[_Step]) -> str:
+    """SMILES-subset text of one DFS.
+
+    Atoms are written in visit order. A child that is not its parent's last
+    is written as a branch, which the next sibling closes with ")": a
+    parent's first child is the atom visited right after it. A ring-closure
+    bond's earlier-visited end opens it with the lowest free digit, and its
+    later end closes it."""
+    last_child: dict[int, int] = {-1: start}  # -1: the start's parent
     opens: dict[int, list[int]] = {}
-    closes: dict[int, list[int]] = {}
-    for k, (u, v) in enumerate(closure_edges):
-        opener, closer = (u, v) if pos[u] < pos[v] else (v, u)
-        opens.setdefault(opener, []).append(k)
-        closes.setdefault(closer, []).append(k)
-    digit_of: dict[int, str] = {}
-    free: list[bool] = [True] * 100
-
-    def take_digit(k: int) -> str:
-        for d in range(1, 100):
-            if free[d]:
-                free[d] = False
-                digit_of[k] = str(d) if d < 10 else f"%{d:02d}"
-                return digit_of[k]
-        raise RuntimeError("more than 99 simultaneously open ring closures")
-
+    closes: dict[int, list[tuple[int, int]]] = {}
+    for k, (u, v, o, tree) in enumerate(steps):
+        if tree:
+            last_child[u] = v
+        else:  # v is an ancestor of u, so visited first
+            opens.setdefault(v, []).append(k)
+            closes.setdefault(u, []).append((k, o))
+    digit: dict[int, int] = {}
+    freed: list[int] = []  # heap of released digits, all below `unused`
+    unused = 1
     out: list[str] = []
-
-    def emit(u: int) -> None:
-        out.append(g.elements[u])
-        for k in closes.get(u, []):
-            u2, v2 = closure_edges[k]
-            order = g.bond_order(u2, v2)
-            assert order is not None
-            out.append(_BOND_CHAR[order] + digit_of[k])
-            d = int(digit_of[k].lstrip("%"))
-            free[d] = True
-        for k in opens.get(u, []):
-            out.append(take_digit(k))
-        kids = children[u]
-        for i, c in enumerate(kids):
-            order = g.bond_order(u, c)
-            assert order is not None
-            if i < len(kids) - 1:
-                out.append("(" + _BOND_CHAR[order])
-                emit(c)
-                out.append(")")
-            else:
-                out.append(_BOND_CHAR[order])
-                emit(c)
-
-    emit(start)
+    prev = -1
+    for u, v, o, tree in chain(((-1, start, 1, True),), steps):
+        if not tree:
+            continue
+        if u != prev:
+            out.append(")")
+        out.append(_BOND_CHAR[o] if last_child[u] == v else "(" + _BOND_CHAR[o])
+        out.append(elements[v])
+        prev = v
+        if v in closes:
+            for k, order in closes[v]:
+                d = digit[k]
+                out.append(_BOND_CHAR[order] + _DIGIT_TEXT[d])
+                heapq.heappush(freed, d)
+        if v in opens:
+            for k in opens[v]:
+                if freed:
+                    d = heapq.heappop(freed)
+                elif unused < 100:
+                    d = unused
+                    unused += 1
+                else:
+                    raise RuntimeError("more than 99 simultaneously open ring closures")
+                digit[k] = d
+                out.append(_DIGIT_TEXT[d])
     return "".join(out)
 
 
@@ -713,9 +705,10 @@ def _kekulize(elements: list[str], aromatic: list[bool],
     if not ar_edges and not any(aromatic):
         return [(a, b, o) for a, b, o in bonds if o is not None]
 
-    # every aromatic atom must sit on a ring
+    # every aromatic atom must sit on a ring, i.e. on a bond that is no bridge
     probe = MolecularGraph(elements, [(a, b, 1) for a, b, _ in bonds])
-    in_ring = probe.ring_atoms()
+    bridges = _bridges(probe)
+    in_ring = {atom for bond in probe.bonds if bond not in bridges for atom in bond}
     for idx, is_ar in enumerate(aromatic):
         if is_ar and idx not in in_ring:
             raise KekulizationFailure(f"aromatic atom {idx} is not in a ring")

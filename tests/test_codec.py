@@ -17,7 +17,7 @@ from molga.codec import (
     parse_genotype,
     random_genotype,
 )
-from molga.discriminator import featurize
+from molga.discriminator import _featurize, featurize
 from molga.graph import (
     MolecularGraph,
     _canonical_string,
@@ -265,7 +265,7 @@ def memoized(mol):
 def computed(mol):
     """The same values, each computed directly rather than read from the memo."""
     return (_canonical_string(mol), _minimum_cycle_basis(mol), _logp_raw(mol), _sa_raw(mol),
-            _ring_penalty_raw(mol), _qed(mol), _fingerprint(mol, 2, 1024), tuple(featurize(mol)))
+            _ring_penalty_raw(mol), _qed(mol), _fingerprint(mol, 2, 1024), tuple(_featurize(mol)))
 
 
 class TestStructureTable:

@@ -37,6 +37,18 @@ class TestFitness:
         assert fitness(0.0, 1.0, 1000.0) == pytest.approx(1000.0)
 
 
+class TestFeatures:
+    def test_individuals_sharing_a_graph_share_one_read_only_vector(self, ref):
+        ev = Evolver(EvolverConfig(population_size=2, generations=0,
+                                   schedule=BetaSchedule.const(0.0), seed=0), ref)
+        a = ev._evaluate(parse_genotype("[C][C][Branch1][C][O][N]"))
+        b = ev._evaluate(parse_genotype("[C][C][Branch1][C][O][N]"))
+        assert a is not b and a.graph is b.graph
+        assert a.features is b.features
+        with pytest.raises(ValueError):
+            a.features[0] = 0.5
+
+
 class TestKillProbabilities:
     def test_median_rank_is_half(self):
         probs = kill_probabilities(list(range(11)))

@@ -151,6 +151,127 @@ class TestCanonical:
         assert canonical(parse_smiles(text)) == text
 
 
+class TestCanonicalPinned:
+    # Canonical strings and ring bases captured before the canonical-form
+    # kernel was rewritten; any change to the ranks, the traversal, the
+    # renderer or the ring-basis candidate search moves them.
+    CASES = [
+        ("c1ccccc1",
+         "C1=CC=CC=C1", ((0, 1, 2, 3, 4, 5),)),
+        ("c1ccc2ccccc2c1",
+         "C1C=CC2=CC=CC=C2C=1", ((3, 4, 5, 6, 7, 8), (0, 1, 2, 3, 8, 9))),
+        ("C1CCC2(CC1)CCCC2",
+         "C1CCC2(CC1)CCCC2", ((3, 6, 7, 8, 9), (0, 1, 2, 3, 4, 5))),
+        ("C1CC11CC1",
+         "C1CC11CC1", ((0, 1, 2), (2, 3, 4))),
+        ("CC(C)(C)C",
+         "CC(C)(C)C", ()),
+        ("CC(C)(C)C(C)(C)C",
+         "CC(C)(C)C(C)(C)C", ()),
+        ("C12C3C4C1C5C2C3C45",
+         "C12C3C4C1C1C2C3C14",
+         ((0, 1, 2, 3), (0, 1, 6, 5), (0, 3, 4, 5), (1, 2, 7, 6), (2, 3, 4, 7))),
+        # 3-regular, so every atom keeps the same rank, but not all are equivalent
+        ("C12C3C1C1C2C2C1C23",
+         "C12C3C1C1C2C2C1C23",
+         ((0, 1, 2), (5, 6, 7), (0, 2, 3, 4), (3, 4, 5, 6), (0, 1, 7, 5, 4))),
+        ("C12C3C1C1C4C2C2C1C3C24",
+         "C12C3C1C1C4C2C2C1C3C24",
+         ((0, 1, 2), (4, 5, 6, 9), (6, 7, 8, 9), (0, 2, 3, 4, 5), (1, 2, 3, 7, 8),
+          (3, 4, 5, 6, 7))),
+        ("C1C2CC3CC1CC(C2)C3",
+         "C1C2CC3CC(C2)CC1C3", ((0, 1, 2, 3, 4, 5), (0, 1, 8, 7, 6, 5), (1, 2, 3, 9, 7, 8))),
+        ("C1CC2CCC1C2",
+         "C1CC2CCC1C2", ((0, 1, 2, 6, 5), (2, 3, 4, 5, 6))),
+        ("c1ccc2ncoc2c1",
+         "C1=CC=C2C(=C1)N=CO2", ((3, 4, 5, 6, 7), (0, 1, 2, 3, 7, 8))),
+        ("FC(F)(F)c1ccc2ncoc2c1",
+         "C1C=C2C(=CC=1C(F)(F)F)OC=N2", ((7, 8, 9, 10, 11), (4, 5, 6, 7, 11, 12))),
+        ("O=C1NC(=O)c2ccccc21",
+         "C1=CC=C2C(=C1)C(NC2=O)=O", ((1, 2, 3, 5, 10), (5, 6, 7, 8, 9, 10))),
+        ("C#CC#N",
+         "C#CC#N", ()),
+        ("CCOC(=O)C(C)N",
+         "CCOC(C(C)N)=O", ()),
+        ("C1=CC=C1",
+         "C1=CC=C1", ((0, 1, 2, 3),)),
+        ("OC1C2CC3C1C23",
+         "C1C2C3C1C(C23)O", ((4, 5, 6), (2, 3, 4, 6), (1, 2, 6, 5))),
+        ("[=O][O][N][N][#N][=O][S][=N][C][Ring2][Branch1][=C][S][=O][S][Branch2][=C]"
+         "[Ring2][P][C][=C][=N][=C]",
+         "C1(NSON=NNOO1)SOS", ((0, 1, 2, 3, 4, 5, 6, 7, 8),)),
+        ("[#C][=C][N][C][N][O][S][#C][N][Ring1][Branch1][=O]",
+         "C1NC=CN(CSON1)O", ((0, 1, 2, 3, 4, 5, 6, 7, 8),)),
+        ("N#Cc1ccccc1C#N",
+         "C1=CC=C(C#N)C(=C1)C#N", ((2, 3, 4, 5, 6, 7),)),
+        ("C1CC1C1CC1",
+         "C1CC1C1CC1", ((0, 1, 2), (3, 4, 5))),
+        ("OCC(O)CO",
+         "C(C(CO)O)O", ()),
+        ("C1=CC2=CC=CC2=C1",
+         "C1C=C2C=CC=C2C=1", ((0, 1, 2, 6, 7), (2, 3, 4, 5, 6))),
+    ]
+
+    # The two molecules of the open ring-perception bug (ROADMAP item 1), as
+    # parsed and under three fixed relabellings (atom i becomes perm[i]).
+    # Their strings and bases depend on the labelling today: these pins
+    # record that output and move with the fix.
+    RELABELLED = [
+        ("C1C2N(OC3(C=1C=PNN=N3)O2)P=N",
+         None,
+         "C1C2N(OC3(C=1C=PNN=N3)O2)P=N",
+         ((0, 1, 11, 4, 5), (1, 2, 3, 4, 11), (4, 5, 6, 7, 8, 9, 10))),
+        ("C1C2N(OC3(C=1C=PNN=N3)O2)P=N",
+         (2, 3, 12, 10, 13, 1, 6, 7, 0, 8, 5, 11, 4, 9),
+         "C1C2N(OC3(C=1C=PNN=N3)O2)P=N",
+         ((1, 2, 3, 11, 13), (3, 11, 13, 10, 12), (0, 7, 6, 1, 13, 5, 8))),
+        ("C1C2N(OC3(C=1C=PNN=N3)O2)P=N",
+         (3, 8, 4, 6, 5, 0, 11, 10, 7, 9, 13, 1, 12, 2),
+         "C1C2=CC3N(OC2(N=NNP=1)O3)P=N",
+         ((0, 3, 8, 1, 5), (1, 5, 6, 4, 8), (0, 3, 8, 4, 6, 5))),
+        ("C1C2N(OC3(C=1C=PNN=N3)O2)P=N",
+         (13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
+         "C1C2N(OC3(C=1C=PNN=N3)O2)P=N",
+         ((2, 9, 8, 13, 12), (2, 9, 10, 11, 12), (3, 4, 5, 6, 7, 8, 9))),
+        ("C1OON=NSPN=C2C3C(C3(CS2)N=S)=NSONS1",
+         None,
+         "C1C2(C3C2=NSONSCOON=NSPN=C3S1)N=S",
+         ((9, 10, 11), (8, 9, 11, 12, 13), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16, 17, 18, 19, 20))),
+        ("C1OON=NSPN=C2C3C(C3(CS2)N=S)=NSONS1",
+         (20, 4, 15, 18, 13, 9, 6, 7, 5, 1, 2, 17, 10, 3, 12, 14, 0, 16, 11, 8, 19),
+         "C1C2(C3C2=NSONSCOON=NSPN=C3S1)N=S",
+         ((1, 2, 17), (1, 5, 3, 10, 17), (0, 2, 1, 5, 7, 6, 9, 13, 18, 15, 4, 20, 19, 8, 11, 16))),
+        ("C1OON=NSPN=C2C3C(C3(CS2)N=S)=NSONS1",
+         (9, 2, 14, 13, 16, 11, 1, 20, 18, 3, 4, 12, 5, 6, 8, 10, 17, 0, 15, 19, 7),
+         "C1OON=NSPN=C2C3C(C3(CS2)N=S)=NSONS1",
+         ((3, 4, 12), (3, 12, 5, 6, 18), (3, 4, 12, 5, 6, 18))),
+        ("C1OON=NSPN=C2C3C(C3(CS2)N=S)=NSONS1",
+         (20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
+         "C1C2(C3C2=NSONSCOON=NSPN=C3S1)N=S",
+         ((9, 10, 11), (7, 8, 9, 11, 12),
+          (0, 1, 2, 3, 4, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20))),
+    ]
+
+    @pytest.mark.parametrize("source, text, basis", CASES)
+    def test_pinned(self, source, text, basis):
+        mol = decode_text(source) if source.startswith("[") else parse_smiles(source)
+        fresh = MolecularGraph(mol.elements, mol.bond_list)
+        assert fresh.canonical() == text
+        assert fresh.ring_basis() == basis
+
+    @pytest.mark.parametrize("source, perm, text, basis", RELABELLED)
+    def test_pinned_relabelled(self, source, perm, text, basis):
+        mol = parse_smiles(source)
+        if perm is not None:
+            elements = [""] * mol.n_atoms
+            for i, p in enumerate(perm):
+                elements[p] = mol.elements[i]
+            mol = MolecularGraph(elements, [(perm[a], perm[b], o) for a, b, o in mol.bond_list])
+        fresh = MolecularGraph(mol.elements, mol.bond_list)
+        assert fresh.canonical() == text
+        assert fresh.ring_basis() == basis
+
+
 class TestParseSmiles:
     def test_chain(self):
         mol = parse_smiles("CCC")
