@@ -104,6 +104,11 @@ def parse_config(doc: dict) -> dict:
         raise ConfigError("constrained.delta must be in [0, 1]")
     if not out["beta_sweep"]["betas"]:
         raise ConfigError("beta_sweep.betas must be non-empty")
+    for section, key in (("constrained", "n_molecules"), ("property_target", "n_targets"),
+                         ("random_baseline", "n_samples"), ("beta_sweep", "seeds_per_beta")):
+        value = out[section][key]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ConfigError(f"{section}.{key} must be an integer >= 1")
     # a key left at its default changes nothing, so a materialized config
     # (the echo in run_report.json) parses again
     ignored = {key for key in set(doc) - _ALWAYS_READ - _RUNNERS[out["task"]][1]

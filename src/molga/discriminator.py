@@ -53,20 +53,26 @@ def _bfs_levels(adj: list[list[int]], src: int) -> list[int]:
 def _max_chain_length(g: MolecularGraph) -> int:
     """Longest shortest path, counted in atoms (graph diameter + 1).
 
-    Trees use the exact double-BFS shortcut; cyclic graphs use the fringe
-    method: sweep nodes by decreasing BFS level from a far node, stopping
-    once no unprocessed pair can beat the bound. Exact either way.
+    Trees use the exact double-BFS shortcut. Cyclic graphs use iFUB
+    (Crescenzi et al. 2013): BFS from the midpoint of the double-sweep
+    path, then take eccentricities of its fringe by decreasing level. Two
+    nodes at most k levels from the midpoint are at most 2k apart, so the
+    sweep stops once 2k cannot beat the largest eccentricity found. Exact
+    either way.
     """
     n = g.n_atoms
     adj = g.int_adjacency()
     lev0 = _bfs_levels(adj, 0)
-    ecc0 = max(lev0)
+    a = lev0.index(max(lev0))
+    lev_a = _bfs_levels(adj, a)
+    lb = max(lev_a)
     if len(g.bonds) == n - 1:  # tree: double BFS is exact
-        far = lev0.index(ecc0)
-        return max(_bfs_levels(adj, far)) + 1
-    far = lev0.index(ecc0)
-    levels = _bfs_levels(adj, far)
-    lb = max(levels)
+        return lb + 1
+    # walk back from the far end b towards a to the path's midpoint
+    mid = lev_a.index(lb)
+    for depth in range(lb - 1, lb // 2 - 1, -1):
+        mid = next(v for v in adj[mid] if lev_a[v] == depth)
+    levels = _bfs_levels(adj, mid)
     for v in sorted(range(n), key=lambda i: -levels[i]):
         if 2 * levels[v] <= lb:
             break

@@ -1,22 +1,24 @@
 """Reference-set ingestion and normalization fitting.
 
 Reads newline-delimited SMILES (with `#` comments), skipping unsupported
-lines with a per-line report, and fits both the property z-score statistics
-and the discriminator feature statistics. A synthetic mode generates the
-reference from random genotypes when no file is available.
+lines with a per-line report, and fits the property z-score statistics; the
+discriminator feature statistics are fit when a discriminator first reads
+them. A synthetic mode generates the reference from random genotypes when
+no file is available.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .codec import decode, random_genotype
 from .discriminator import FeatureStats, featurize
 from .errors import MolgaError
-from .graph import Fingerprint, MolecularGraph, fingerprint, parse_smiles
+from .graph import MolecularGraph, parse_smiles
 from .props import EmptyReference, NormStats, PropertyRecord, fit_norm, penalized_logp
 
 MIN_USABLE = 100
@@ -30,35 +32,38 @@ class LoadReport:
     failures: list[tuple[int, str]] = field(default_factory=list)
 
 
-@dataclass
 class ReferenceSet:
-    graphs: list[MolecularGraph]
-    canonicals: list[str]
-    records: list[PropertyRecord]
-    prop_stats: NormStats
-    feature_stats: FeatureStats
-    features: np.ndarray
-    _fps: list[Fingerprint] | None = None
+    """The reference molecules and what is fit on them.
+
+    Construction fits only the property z-score statistics, which every task
+    reads. The discriminator's features and their statistics, the property
+    records and the canonical strings are derived on first read and kept.
+    """
+
+    def __init__(self, graphs: list[MolecularGraph]):
+        if not graphs:
+            raise EmptyReference("reference set is empty")
+        self.graphs = graphs
+        self.prop_stats: NormStats = fit_norm(graphs)
 
     def __len__(self) -> int:
         return len(self.graphs)
 
-    def fingerprints(self) -> list[Fingerprint]:
-        if self._fps is None:
-            self._fps = [fingerprint(g) for g in self.graphs]
-        return self._fps
+    @cached_property
+    def features(self) -> np.ndarray:
+        return np.stack([featurize(g) for g in self.graphs])
 
+    @cached_property
+    def feature_stats(self) -> FeatureStats:
+        return FeatureStats.fit(self.features)
 
-def build_reference(graphs: list[MolecularGraph]) -> ReferenceSet:
-    """Fit normalization over the given graphs and package them."""
-    if not graphs:
-        raise EmptyReference("reference set is empty")
-    prop_stats = fit_norm(graphs)
-    features = np.stack([featurize(g) for g in graphs])
-    feature_stats = FeatureStats.fit(features)
-    records = [penalized_logp(g, prop_stats) for g in graphs]
-    canonicals = [g.canonical() for g in graphs]
-    return ReferenceSet(graphs, canonicals, records, prop_stats, feature_stats, features)
+    @cached_property
+    def records(self) -> list[PropertyRecord]:
+        return [penalized_logp(g, self.prop_stats) for g in self.graphs]
+
+    @cached_property
+    def canonicals(self) -> list[str]:
+        return [g.canonical() for g in self.graphs]
 
 
 def load_reference(path: str, min_usable: int = MIN_USABLE) -> tuple[ReferenceSet, LoadReport]:
@@ -81,7 +86,7 @@ def load_reference(path: str, min_usable: int = MIN_USABLE) -> tuple[ReferenceSe
     if report.n_usable < min_usable:
         raise EmptyReference(
             f"only {report.n_usable} usable molecules in {path} (need >= {min_usable})")
-    return build_reference(graphs), report
+    return ReferenceSet(graphs), report
 
 
 def synthetic_reference(n: int, seed: int, min_canonical: int = 10,
@@ -94,4 +99,4 @@ def synthetic_reference(n: int, seed: int, min_canonical: int = 10,
         g = decode(random_genotype(rng, max_genotype_len))
         if min_canonical <= len(g.canonical()) <= max_canonical:
             graphs.append(g)
-    return build_reference(graphs)
+    return ReferenceSet(graphs)

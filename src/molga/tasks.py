@@ -142,8 +142,16 @@ class ConstrainedBatchResult:
 
 
 def lowest_scoring_references(ref: ReferenceSet, n: int) -> list[int]:
-    order = sorted(range(len(ref)), key=lambda i: (ref.records[i].j, ref.canonicals[i]))
-    return order[:n]
+    """Indices of the n reference molecules with the lowest j, ties broken
+    by canonical string. Only molecules at or below the n-th lowest j can
+    be picked, so only they are canonicalized."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    js = [r.j for r in ref.records]
+    cut = sorted(js)[min(n, len(js)) - 1]
+    candidates = [i for i, j in enumerate(js) if j <= cut]
+    candidates.sort(key=lambda i: (js[i], ref.graphs[i].canonical()))
+    return candidates[:n]
 
 
 def run_constrained_batch(ref: ReferenceSet, config: EvolverConfig, *,

@@ -1,6 +1,7 @@
 import pytest
 
-from molga.reference import synthetic_reference
+from molga.cli import bundled_reference_path
+from molga.reference import load_reference, synthetic_reference
 
 
 @pytest.fixture(scope="session")
@@ -10,3 +11,10 @@ def fresh_sample_reference():
     # built once and shared by the acceptance criteria and the schedule's
     # end-to-end recovery run
     return synthetic_reference(35_000, seed=7)
+
+
+@pytest.fixture(scope="session")
+def bundled_reference():
+    # shared read-only; a test that checks what loading leaves underived
+    # loads its own copy
+    return load_reference(bundled_reference_path())[0]

@@ -99,3 +99,21 @@ def enumerate_simple_cycles(g: MolecularGraph, max_len: int = 12) -> list[tuple[
     for s in range(g.n_atoms):
         walk(s, [s], {s})
     return out
+
+
+def brute_force_diameter(g: MolecularGraph) -> int:
+    """Largest shortest-path distance in bonds, from a BFS at every atom."""
+    best = 0
+    for src in range(g.n_atoms):
+        dist = {src: 0}
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v, _ in g.neighbors(u):
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        best = max(best, max(dist.values()))
+    return best

@@ -52,6 +52,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config({"seed": "abc"})
 
+    @pytest.mark.parametrize("section,key,task", [
+        ("constrained", "n_molecules", "constrained_similarity"),
+        ("property_target", "n_targets", "property_target"),
+        ("random_baseline", "n_samples", "random_baseline"),
+        ("beta_sweep", "seeds_per_beta", "beta_sweep"),
+    ])
+    @pytest.mark.parametrize("value", [-1, 0, "3", 2.0, True, None])
+    def test_count_must_be_positive_integer(self, section, key, task, value):
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            parse_config({"task": task, section: {key: value}})
+        assert parse_config({"task": task, section: {key: 1}})[section][key] == 1
+
     def test_empty_archive_rejected(self):
         # an empty archive has no best entry, so every GA task would crash
         doc = {"reference": {"synthetic": 150}, "population_size": 10,

@@ -12,6 +12,7 @@ from molga.discriminator import (
     DiscriminatorModel,
     FeatureStats,
     NonFiniteLoss,
+    _max_chain_length,
     featurize,
     init_model,
     load_checkpoint,
@@ -22,6 +23,7 @@ from molga.discriminator import (
 )
 from molga.graph import methane, parse_smiles
 
+from helpers import brute_force_diameter
 from test_graph import permuted
 
 
@@ -51,6 +53,41 @@ class TestFeaturize:
         for _ in range(200):
             f = featurize(decode(random_genotype(rng, 50)))
             assert np.all(np.isfinite(f))
+
+
+class TestMaxChainLength:
+    # iFUB stops sweeping once twice a BFS level cannot beat the largest
+    # eccentricity found; stopping one level early undercounts some
+    # labellings of the ethyl cyclooctane, one decoded genotype and
+    # reference molecules
+    SHAPES = [
+        "C1CCC1", "C1CCCC1", "C1CCCCC1", "C1CCCCCC1", "C1CCCCCCC1", "C1CCCCCCCC1",
+        "C1CCC2CCCCC2C1", "C1CC2CCC1CC2", "C1CC2CC1C2", "C1CCC2CCCC2C1",
+        "C1CCC2(C1)CCCC2", "C1CC2(C1)CCC2", "C1CCC2(CC1)CCCCC2",
+        "C12C3C1C1C4C2C2C1C3C24",
+        "CCCCCCC1CCC(CCCCCCC)CC1", "CCCCCC1CC(CCCCCCCC)C1", "CCCCC1CCCCCCC1CCCCCC",
+        "CCC1CCCCCCC1",
+    ]
+
+    def assert_exact(self, g):
+        assert _max_chain_length(g) == brute_force_diameter(g) + 1
+
+    @pytest.mark.parametrize("smiles", SHAPES)
+    def test_hand_built_shapes_relabelled(self, smiles):
+        g = parse_smiles(smiles)
+        rng = random.Random(len(smiles))
+        self.assert_exact(g)
+        for _ in range(20):
+            self.assert_exact(permuted(g, rng))
+
+    def test_decoded_random_genotypes(self):
+        rng = random.Random(5)
+        for _ in range(3000):
+            self.assert_exact(decode(random_genotype(rng, 100)))
+
+    def test_bundled_reference(self, bundled_reference):
+        for g in bundled_reference.graphs:
+            self.assert_exact(g)
 
 
 class TestPredict:

@@ -7,7 +7,7 @@ from molga.codec import decode, parse_genotype
 from molga.evolver import EvolverConfig, run
 from molga.graph import MolecularGraph, fingerprint, parse_smiles, tanimoto
 from molga.props import penalized_logp
-from molga.reference import synthetic_reference
+from molga.reference import ReferenceSet, synthetic_reference
 from molga.schedules import BetaSchedule
 from molga.tasks import (
     PropertyTargets,
@@ -109,6 +109,34 @@ class TestRunConstrained:
         assert js == sorted(js)
         all_js = sorted(r.j for r in ref.records)
         assert js == all_js[:10]
+
+
+class TestLowestScoringReferences:
+    @staticmethod
+    def full_sort(ref, n):
+        return sorted(range(len(ref)),
+                      key=lambda i: (ref.records[i].j, ref.canonicals[i]))[:n]
+
+    @pytest.mark.parametrize("n", [1, 5, 50, 999, 1000])
+    def test_bundled_matches_full_sort(self, bundled_reference, n):
+        picks = lowest_scoring_references(bundled_reference, n)
+        assert picks == self.full_sort(bundled_reference, n)
+
+    def test_ties_at_the_cut(self):
+        # four groups of equal j, made of isomers and of molecules written in
+        # two atom orders (NCCCO and OCCCN), so most cuts fall inside a tie
+        smiles = ["CC(N)CO", "CC(O)CN", "NCCCO", "CNCCO", "OCCCN", "CCNCO",
+                  "OCCNC", "CCC(C)O", "CC(C)CO", "COC(C)C", "CC(O)CC",
+                  "CCCCO", "CCOCC", "CCCOC", "OCCCC"]
+        ref = ReferenceSet([parse_smiles(s) for s in smiles])
+        assert len({r.j for r in ref.records}) == 4
+        assert len(set(ref.canonicals)) < len(ref)
+        for n in range(1, len(ref) + 1):
+            assert lowest_scoring_references(ref, n) == self.full_sort(ref, n)
+
+    def test_rejects_zero(self, ref):
+        with pytest.raises(ValueError):
+            lowest_scoring_references(ref, 0)
 
 
 class TestPropertyTargetFitness:
