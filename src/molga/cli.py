@@ -63,6 +63,19 @@ def bundled_reference_path() -> str:
     return os.path.join(os.path.dirname(__file__), "data", "reference_1k.smi")
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_number_list(value: Any) -> bool:
+    """A non-empty list of numbers."""
+    return isinstance(value, (list, tuple)) and bool(value) and all(map(_is_number, value))
+
+
 def parse_config(doc: dict) -> dict:
     """Validate a config document and materialize every default."""
     if not isinstance(doc, dict):
@@ -84,12 +97,12 @@ def parse_config(doc: dict) -> dict:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if out["task"] not in _RUNNERS:
         raise ConfigError(f"unknown task {out['task']!r}; expected one of {tuple(_RUNNERS)}")
-    if not isinstance(out["seed"], int):
+    if not _is_int(out["seed"]):
         raise ConfigError("seed must be an integer")
     for key in ("population_size", "generations", "max_canonical_len",
                 "max_genotype_len", "archive_k", "snapshot_every", "threads",
                 "elite_count"):
-        if not isinstance(out[key], int) or out[key] < 0:
+        if not _is_int(out[key]) or out[key] < 0:
             raise ConfigError(f"{key} must be a non-negative integer")
     if out["population_size"] < 1:
         raise ConfigError("population_size must be >= 1")
@@ -99,15 +112,29 @@ def parse_config(doc: dict) -> dict:
         raise ConfigError("threads must be >= 1")
     if out["parent_selection"] not in ("uniform-survivors", "top-fraction"):
         raise ConfigError(f"unknown parent_selection {out['parent_selection']!r}")
+    if not (out["use_discriminator"] is None or isinstance(out["use_discriminator"], bool)):
+        raise ConfigError("use_discriminator must be true, false or null")
+    for name, value in (("beta", out["beta"]), ("logp_qed.w_j", out["logp_qed"]["w_j"]),
+                        ("logp_qed.w_qed", out["logp_qed"]["w_qed"]),
+                        *((f"adaptive.{k}", out["adaptive"][k])
+                          for k in ("low", "high", "epsilon"))):
+        if not _is_number(value):
+            raise ConfigError(f"{name} must be a number")
+    if not (_is_number(out["top_fraction"]) and 0 < out["top_fraction"] <= 1):
+        raise ConfigError("top_fraction must be a number in (0, 1]")
     delta = out["constrained"]["delta"]
-    if not (0 <= delta <= 1):
-        raise ConfigError("constrained.delta must be in [0, 1]")
-    if not out["beta_sweep"]["betas"]:
-        raise ConfigError("beta_sweep.betas must be non-empty")
+    if not (_is_number(delta) and 0 <= delta <= 1):
+        raise ConfigError("constrained.delta must be a number in [0, 1]")
+    if not _is_number_list(out["beta_sweep"]["betas"]):
+        raise ConfigError("beta_sweep.betas must be a non-empty list of numbers")
+    targets = out["property_target"]["targets"]
+    if not (targets is None or _is_number_list(targets) and len(targets) == 3):
+        raise ConfigError("property_target.targets must be null or a list of 3 numbers")
     for section, key in (("constrained", "n_molecules"), ("property_target", "n_targets"),
-                         ("random_baseline", "n_samples"), ("beta_sweep", "seeds_per_beta")):
+                         ("random_baseline", "n_samples"), ("beta_sweep", "seeds_per_beta"),
+                         ("adaptive", "window")):
         value = out[section][key]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        if not _is_int(value) or value < 1:
             raise ConfigError(f"{section}.{key} must be an integer >= 1")
     # a key left at its default changes nothing, so a materialized config
     # (the echo in run_report.json) parses again

@@ -60,7 +60,7 @@ class MolecularGraph:
     indices are rejected outright.
     """
 
-    __slots__ = ("elements", "bond_list", "bonds", "_adj", "_cache", "__weakref__")
+    __slots__ = ("elements", "bond_list", "bonds", "_adj", "_cache")
 
     def __init__(self, elements: Sequence[str], bonds: Iterable[tuple[int, int, int]]):
         self.elements: tuple[str, ...] = tuple(elements)
@@ -781,7 +781,7 @@ def _fnv1a(data: bytes) -> int:
     return h
 
 
-# Hashed atom environments, memoized process-wide like codec._decode_cached:
+# Hashed atom environments, memoized process-wide:
 # GA children share almost all of their atom environments with their
 # parents. Cleared when full. An entry takes about 150 bytes in a GA run and
 # at most about 370 (nine unshared 64-bit ints), so at most about 12 MB.

@@ -106,8 +106,8 @@ def run_constrained(reference_graph: MolecularGraph, ref: ReferenceSet,
 
     best = None
     for entry in result.archive:
-        # decode() returns the memoized graph, which carries the fingerprint
-        # the objective cached; a new graph recomputes it
+        # decode() may return a cached graph that carries the fingerprint
+        # the objective memoized; a new graph recomputes it
         graph = decode(parse_genotype(entry.genotype_text))
         sim = tanimoto(fingerprint(MolecularGraph(graph.elements, graph.bond_list)), ref_fp)
         if sim > delta:

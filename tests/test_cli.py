@@ -52,6 +52,33 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config({"seed": "abc"})
 
+    @pytest.mark.parametrize("doc,key", [
+        ({"top_fraction": -3}, "top_fraction"),
+        ({"top_fraction": "x"}, "top_fraction"),
+        ({"top_fraction": 0}, "top_fraction"),
+        ({"beta": "abc"}, "beta"),
+        ({"beta": True}, "beta"),
+        ({"use_discriminator": "x"}, "use_discriminator"),
+        ({"task": "beta_sweep", "beta_sweep": {"betas": "ab"}}, "beta_sweep.betas"),
+        ({"task": "beta_sweep", "beta_sweep": {"betas": [0.0, "x"]}}, "beta_sweep.betas"),
+        ({"task": "logp_qed", "logp_qed": {"w_j": "x"}}, "logp_qed.w_j"),
+        ({"task": "logp_qed", "logp_qed": {"w_qed": None}}, "logp_qed.w_qed"),
+        ({"task": "adaptive_dt", "adaptive": {"window": -1}}, "adaptive.window"),
+        ({"task": "adaptive_dt", "adaptive": {"window": 2.5}}, "adaptive.window"),
+        ({"task": "adaptive_dt", "adaptive": {"low": "x"}}, "adaptive.low"),
+        ({"task": "adaptive_dt", "adaptive": {"high": [1]}}, "adaptive.high"),
+        ({"task": "adaptive_dt", "adaptive": {"epsilon": "x"}}, "adaptive.epsilon"),
+        ({"population_size": True}, "population_size"),
+        ({"generations": False}, "generations"),
+        ({"seed": True}, "seed"),
+        ({"task": "constrained_similarity", "constrained": {"delta": "x"}}, "constrained.delta"),
+        ({"task": "property_target", "property_target": {"targets": [3.0, 1.0]}},
+         "property_target.targets"),
+    ])
+    def test_nonsense_value_rejected(self, doc, key):
+        with pytest.raises(ConfigError, match=f"^{key} must"):
+            parse_config(doc)
+
     @pytest.mark.parametrize("section,key,task", [
         ("constrained", "n_molecules", "constrained_similarity"),
         ("property_target", "n_targets", "property_target"),

@@ -1,10 +1,9 @@
 import gc
 import random
-import weakref
 
 import pytest
 
-from molga import codec
+from molga import codec, evolver
 from molga.codec import (
     N_SYMBOLS,
     PHENYL_SYMBOLS,
@@ -35,6 +34,7 @@ from molga.props import (
     ring_penalty_raw,
     sa_raw,
 )
+from molga.reference import synthetic_reference
 
 from helpers import brute_force_isomorphic, connected_ok, enumerate_simple_cycles, valence_ok
 
@@ -280,16 +280,18 @@ class TestStructureTable:
         assert a is not b
         assert canonical(a) == canonical(b)
 
-    def test_keeps_nothing_alive(self, monkeypatch):
-        monkeypatch.setattr(codec, "_structures", weakref.WeakValueDictionary())
-        codec._decode_cached.cache_clear()
+    def test_keeps_at_most_size_graphs_alive(self, small_cache):
+        def live_graphs():
+            return sum(isinstance(o, MolecularGraph) for o in gc.get_objects())
+
+        gc.collect()
+        before = live_graphs()
         rng = random.Random(17)
         mols = [decode(random_genotype(rng, 30)) for _ in range(300)]
-        assert len(codec._structures) > 0
-        codec._decode_cached.cache_clear()
+        assert len({id(mol) for mol in mols}) > small_cache
         del mols
         gc.collect()
-        assert len(codec._structures) == 0
+        assert live_graphs() - before <= small_cache
 
     def test_shared_graph_values_match_a_fresh_graph(self):
         rng = random.Random(23)
@@ -302,3 +304,77 @@ class TestStructureTable:
         assert len(mols) >= 300
         for mol in mols.values():
             assert memoized(mol) == computed(MolecularGraph(mol.elements, mol.bond_list))
+
+    def test_never_holds_more_than_its_size(self, small_cache):
+        rng = random.Random(5)
+        for _ in range(200):
+            decode(random_genotype(rng, 20))
+            assert len(codec._graphs) <= small_cache
+        assert len(codec._graphs) == small_cache
+
+    def test_hit_moves_a_structure_to_the_back(self, small_cache):
+        first = decode(chain(1))
+        for k in range(2, small_cache + 1):
+            decode(chain(k))
+        assert decode(chain(1)) is first  # a new genotype object: a cache hit
+        for k in range(small_cache + 1, 2 * small_cache):  # size - 1 others
+            decode(chain(k))
+        assert (first.elements, first.bond_list) in codec._graphs
+        decode(chain(2 * small_cache))
+        assert (first.elements, first.bond_list) not in codec._graphs
+        assert decode(chain(1)) is not first
+
+    def test_genotype_keeps_its_graph(self, small_cache):
+        gt = parse_genotype("[C][=C][C][=C][C][=C][Ring1][N]")
+        mol = decode(gt)
+        for k in range(1, 2 * small_cache):  # evicts mol from the cache
+            decode(chain(k))
+        assert decode(gt) is mol
+
+    def test_evolver_derives_each_genotype_once(self, monkeypatch):
+        genotypes = {}
+        derived = [0]
+
+        def counting_decode(gt):
+            genotypes[id(gt)] = gt  # kept alive, so ids stay distinct
+            return decode(gt)
+
+        def counting_derive(b, window, root):
+            derived[0] += root is None
+            return derive(b, window, root)
+
+        ref = synthetic_reference(50, seed=1)
+        derive = codec._derive
+        monkeypatch.setattr(codec, "_derive", counting_derive)
+        monkeypatch.setattr(evolver, "decode", counting_decode)
+        evolver.run(evolver.EvolverConfig(population_size=30, generations=5, seed=3), ref)
+        assert derived[0] == len(genotypes) > 30
+
+    def test_rebuilt_graph_values_match_a_fresh_graph(self, small_cache):
+        rng = random.Random(29)
+        by_structure = {}  # one genotype per structure, so each is evicted
+        while len(by_structure) < 4 * small_cache:
+            gt = random_genotype(rng, 30)
+            mol = decode(gt)
+            by_structure.setdefault((mol.elements, mol.bond_list), (gt, mol))
+        for gt, mol in by_structure.values():
+            memoized(mol)
+        for k in range(31, 31 + small_cache):  # longer than any of them: evicts all
+            decode(chain(k))
+        for gt, mol in by_structure.values():
+            rebuilt = decode(Genotype(gt.symbols))
+            assert rebuilt is not mol
+            assert memoized(rebuilt) == computed(MolecularGraph(mol.elements, mol.bond_list))
+
+
+def chain(n):
+    """A genotype deriving an n-carbon chain: a distinct structure per n."""
+    return Genotype((Symbol.C,) * n)
+
+
+@pytest.fixture
+def small_cache(monkeypatch):
+    """An empty structure cache of 8 entries; returns the size."""
+    monkeypatch.setattr(codec, "_GRAPH_CACHE_SIZE", 8)
+    monkeypatch.setattr(codec, "_graphs", {})
+    return 8
