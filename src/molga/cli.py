@@ -110,6 +110,11 @@ def parse_config(doc: dict) -> dict:
         raise ConfigError("archive_k must be >= 1")
     if out["threads"] < 1:
         raise ConfigError("threads must be >= 1")
+    # at 0 no genotype or molecule fits: a GA never accepts a child and the
+    # random baseline cannot draw a genotype
+    for key in ("max_canonical_len", "max_genotype_len"):
+        if out[key] < 1:
+            raise ConfigError(f"{key} must be >= 1")
     if out["parent_selection"] not in ("uniform-survivors", "top-fraction"):
         raise ConfigError(f"unknown parent_selection {out['parent_selection']!r}")
     if not (out["use_discriminator"] is None or isinstance(out["use_discriminator"], bool)):
@@ -120,6 +125,8 @@ def parse_config(doc: dict) -> dict:
                           for k in ("low", "high", "epsilon"))):
         if not _is_number(value):
             raise ConfigError(f"{name} must be a number")
+    if out["adaptive"]["low"] > out["adaptive"]["high"]:
+        raise ConfigError("adaptive.low must be <= adaptive.high")
     if not (_is_number(out["top_fraction"]) and 0 < out["top_fraction"] <= 1):
         raise ConfigError("top_fraction must be a number in (0, 1]")
     delta = out["constrained"]["delta"]

@@ -526,9 +526,30 @@ def _emit(g: MolecularGraph, root: int, children: dict[int, list[int]],
 # ---------------------------------------------------------------------------
 
 
+# A random symbol is the top five bits of one 32-bit Mersenne Twister output
+# whose top bit is 0: the byte table keeps bits 31..27 of a word's high byte
+# and the delete set drops the high bytes of rejected outputs.
+_TOP5 = bytes(b >> 3 for b in range(256))
+_REJECTED = bytes(range(128, 256))
+
+
 def random_genotype(rng, max_len: int) -> Genotype:
-    """Uniform i.i.d. symbols, length uniform in [1, max_len]."""
+    """Uniform i.i.d. symbols, length uniform in [1, max_len].
+
+    Consumes `rng`'s stream exactly as drawing each symbol with
+    `rng.randrange(16)` does, so genotypes and every later draw are the
+    same. That call takes `getrandbits(5)`, the top five bits of one 32-bit
+    output, until the value is below 16, i.e. until an output's top bit is
+    0. Here `getrandbits(32 * k)` takes k outputs at once, the first in the
+    lowest 32 bits. A batch asks for no more outputs than symbols still
+    missing, so it never draws past the output that completes the genotype.
+    """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     length = rng.randint(1, max_len)
-    return Genotype(tuple(_SYMBOLS[rng.randrange(N_SYMBOLS)] for _ in range(length)))
+    symbols = b""
+    while len(symbols) < length:
+        need = length - len(symbols)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        symbols += words[3::4].translate(_TOP5, _REJECTED)
+    return Genotype(tuple(map(_SYMBOLS.__getitem__, symbols)))

@@ -548,6 +548,47 @@ def _render(elements: tuple[str, ...], start: int, steps: list[_Step]) -> str:
     return "".join(out)
 
 
+def canonical_length_bounds(g: MolecularGraph) -> tuple[int, int]:
+    """(lo, hi) with lo <= len(g.canonical()) <= hi, without rendering.
+
+    The canonical DFS of a connected graph with n atoms, m bonds, b of them
+    of order 2 or 3, and cycle rank r = m - n + 1 makes n - 1 tree steps and
+    r ring-closure steps, and `_render` writes:
+    - n element letters, one per atom;
+    - b bond characters: each double or triple bond is written once, on its
+      tree step or where its ring closure closes;
+    - 2r ring-digit tokens, an opening and a closing one per closure. A
+      token is one character below 10 and three (`%nn`) from 10 up. The
+      k-th closure opened gets a digit of at most k, so the first nine take
+      one character each: at most 2r characters if r <= 9, else
+      18 + 6(r - 9);
+    - a "(" for every child that is not its parent's last and a ")" for
+      every child that is not its first, so 2 * sum(max(0, children - 1)).
+      The start atom has at most deg children, any other atom deg - 1,
+      which is at most 2 + 2 * sum(max(0, deg - 2)).
+    So lo = n + b + 2r (no branches, one-character digits) and hi adds
+    the maxima.
+
+    The bounds need one component, since `_canonical_string` walks only
+    the start atom's. Every atom after the first having a lower-indexed
+    neighbor proves that, and holds for every decoded or parsed graph
+    (each atom is placed bonded to an earlier one). A graph that fails the
+    test, or has more closures than `_render` has digits for, is rendered,
+    and its bounds are its length.
+    """
+    adj = g._adj
+    n = len(adj)
+    r = len(g.bonds) - n + 1
+    if r > 99 or not all(adj[i] and adj[i][0][0] < i for i in range(1, n)):
+        k = len(g.canonical())
+        return k, k
+    b = sum(1 for o in g.bonds.values() if o > 1)
+    lo = n + b + 2 * r
+    digits = 2 * r if r <= 9 else 18 + 6 * (r - 9)
+    branches = 2 + 2 * sum(len(nbrs) - 2 for nbrs in adj if len(nbrs) > 2)
+    return lo, n + b + digits + branches
+
+
 def canonical(g: MolecularGraph) -> str:
     """Deterministic SMILES-subset serialization; isomorphic graphs yield
     identical text."""

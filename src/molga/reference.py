@@ -18,7 +18,7 @@ import numpy as np
 from .codec import decode, random_genotype
 from .discriminator import FeatureStats, featurize
 from .errors import MolgaError
-from .graph import MolecularGraph, parse_smiles
+from .graph import MolecularGraph, canonical_length_bounds, parse_smiles
 from .props import EmptyReference, NormStats, PropertyRecord, fit_norm, penalized_logp
 
 MIN_USABLE = 100
@@ -92,11 +92,19 @@ def load_reference(path: str, min_usable: int = MIN_USABLE) -> tuple[ReferenceSe
 def synthetic_reference(n: int, seed: int, min_canonical: int = 10,
                         max_canonical: int = 81,
                         max_genotype_len: int = 60) -> ReferenceSet:
-    """Random-genotype stand-in for a real reference file."""
+    """Random-genotype stand-in for a real reference file.
+
+    A sample is kept when its canonical string's length is in
+    [min_canonical, max_canonical]; it is rendered only when the length
+    bounds straddle that range."""
     rng = random.Random(seed)
     graphs: list[MolecularGraph] = []
     while len(graphs) < n:
         g = decode(random_genotype(rng, max_genotype_len))
-        if min_canonical <= len(g.canonical()) <= max_canonical:
+        lo, hi = canonical_length_bounds(g)
+        if hi < min_canonical or lo > max_canonical:
+            continue  # no length the bounds allow is in range
+        if (min_canonical <= lo and hi <= max_canonical
+                or min_canonical <= len(g.canonical()) <= max_canonical):
             graphs.append(g)
     return ReferenceSet(graphs)

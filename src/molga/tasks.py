@@ -12,9 +12,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .codec import UnencodableGraph, decode, encode, parse_genotype, random_genotype
+from .codec import (
+    Genotype, UnencodableGraph, decode, encode, parse_genotype, random_genotype,
+)
 from .evolver import EvolverConfig, RunResult, run
-from .graph import MolecularGraph, fingerprint, tanimoto
+from .graph import MolecularGraph, canonical_length_bounds, fingerprint, tanimoto
 from .props import PropertyRecord, penalized_logp
 from .reference import ReferenceSet
 from .schedules import BetaSchedule
@@ -364,29 +366,34 @@ def run_random_baseline(ref: ReferenceSet, n: int, seed: int = 0, *,
                         max_canonical_len: int = 81,
                         max_genotype_len: int = 100) -> BaselineResult:
     """Score n random genotypes (canonical length capped); the exploration
-    floor the GA must beat."""
+    floor the GA must beat.
+
+    A sample whose canonical length bound fits the cap is scored without
+    rendering its canonical string; only the best sample's is rendered."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
     best_j = -float("inf")
-    best: tuple[str, str] | None = None
+    best: tuple[MolecularGraph, Genotype] | None = None
     values: list[float] = []
     while len(values) < n:
         genotype = random_genotype(rng, max_genotype_len)
         graph = decode(genotype)
-        if len(graph.canonical()) > max_canonical_len:
+        if (canonical_length_bounds(graph)[1] > max_canonical_len
+                and len(graph.canonical()) > max_canonical_len):
             continue
         j = penalized_logp(graph, ref.prop_stats).j
         values.append(j)
         if j > best_j:
             best_j = j
-            best = (graph.canonical(), genotype.text())
+            best = (graph, genotype)
     arr = np.array(values)
     counts, edges = np.histogram(arr, bins=50)
     assert best is not None
     return BaselineResult(
         n=n, max_j=float(arr.max()), mean_j=float(arr.mean()),
-        std_j=float(arr.std()), best_canonical=best[0], best_genotype=best[1],
+        std_j=float(arr.std()), best_canonical=best[0].canonical(),
+        best_genotype=best[1].text(),
         histogram_edges=[float(e) for e in edges],
         histogram_counts=[int(c) for c in counts],
         j_values=values,

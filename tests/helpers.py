@@ -6,6 +6,7 @@ package's own algorithms, so they can catch systematic bugs.
 
 from __future__ import annotations
 
+from molga.codec import N_SYMBOLS, Genotype, Symbol
 from molga.graph import VALENCE, MolecularGraph
 
 
@@ -117,3 +118,9 @@ def brute_force_diameter(g: MolecularGraph) -> int:
             frontier = nxt
         best = max(best, max(dist.values()))
     return best
+
+
+def random_genotype_per_symbol(rng, max_len: int) -> Genotype:
+    """`codec.random_genotype` as one `randrange(16)` call per symbol."""
+    length = rng.randint(1, max_len)
+    return Genotype(tuple(Symbol(rng.randrange(N_SYMBOLS)) for _ in range(length)))

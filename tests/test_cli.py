@@ -74,6 +74,11 @@ class TestConfig:
         ({"task": "constrained_similarity", "constrained": {"delta": "x"}}, "constrained.delta"),
         ({"task": "property_target", "property_target": {"targets": [3.0, 1.0]}},
          "property_target.targets"),
+        ({"max_canonical_len": 0}, "max_canonical_len"),
+        ({"max_genotype_len": 0}, "max_genotype_len"),
+        ({"task": "random_baseline", "max_canonical_len": 0}, "max_canonical_len"),
+        ({"task": "random_baseline", "max_genotype_len": 0}, "max_genotype_len"),
+        ({"task": "adaptive_dt", "adaptive": {"low": 5.0, "high": 1.0}}, "adaptive.low"),
     ])
     def test_nonsense_value_rejected(self, doc, key):
         with pytest.raises(ConfigError, match=f"^{key} must"):

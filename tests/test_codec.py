@@ -36,7 +36,13 @@ from molga.props import (
 )
 from molga.reference import synthetic_reference
 
-from helpers import brute_force_isomorphic, connected_ok, enumerate_simple_cycles, valence_ok
+from helpers import (
+    brute_force_isomorphic,
+    connected_ok,
+    enumerate_simple_cycles,
+    random_genotype_per_symbol,
+    valence_ok,
+)
 
 
 def g(text):
@@ -212,6 +218,16 @@ class TestRandomGenotype:
     def test_rejects_bad_max_len(self):
         with pytest.raises(ValueError):
             random_genotype(random.Random(0), 0)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_consumes_the_stream_like_per_symbol_draws(self, seed):
+        # same genotypes and the same generator state after every call, so
+        # every later draw from the generator is unchanged too
+        blocks, per_symbol = random.Random(seed), random.Random(seed)
+        for max_len in (1, 2, 33, 100, 300) * 4:
+            assert random_genotype(blocks, max_len) == random_genotype_per_symbol(
+                per_symbol, max_len)
+            assert blocks.getstate() == per_symbol.getstate()
 
 
 class TestGenotypeText:

@@ -16,6 +16,7 @@ from molga.graph import (
     _hash_ints,
     _minimum_cycle_basis,
     canonical,
+    canonical_length_bounds,
     fingerprint,
     methane,
     parse_smiles,
@@ -151,6 +152,16 @@ class TestCanonical:
         assert canonical(parse_smiles(text)) == text
 
 
+def relabelled(mol: MolecularGraph, perm: tuple[int, ...] | None) -> MolecularGraph:
+    """`mol` with atom i renumbered perm[i]; `mol` itself when perm is None."""
+    if perm is None:
+        return mol
+    elements = [""] * mol.n_atoms
+    for i, p in enumerate(perm):
+        elements[p] = mol.elements[i]
+    return MolecularGraph(elements, [(perm[a], perm[b], o) for a, b, o in mol.bond_list])
+
+
 class TestCanonicalPinned:
     # Canonical strings and ring bases captured before the canonical-form
     # kernel was rewritten; any change to the ranks, the traversal, the
@@ -261,15 +272,62 @@ class TestCanonicalPinned:
 
     @pytest.mark.parametrize("source, perm, text, basis", RELABELLED)
     def test_pinned_relabelled(self, source, perm, text, basis):
-        mol = parse_smiles(source)
-        if perm is not None:
-            elements = [""] * mol.n_atoms
-            for i, p in enumerate(perm):
-                elements[p] = mol.elements[i]
-            mol = MolecularGraph(elements, [(perm[a], perm[b], o) for a, b, o in mol.bond_list])
+        mol = relabelled(parse_smiles(source), perm)
         fresh = MolecularGraph(mol.elements, mol.bond_list)
         assert fresh.canonical() == text
         assert fresh.ring_basis() == basis
+
+
+def assert_bounded(mol: MolecularGraph) -> None:
+    lo, hi = canonical_length_bounds(mol)
+    assert lo <= len(mol.canonical()) <= hi, (mol.canonical(), lo, hi)
+
+
+class TestCanonicalLengthBounds:
+    def test_bundled_reference(self, bundled_reference):
+        for mol in bundled_reference.graphs:
+            assert_bounded(mol)
+
+    def test_random_decodes(self):
+        rng = random.Random(8)
+        for _ in range(5000):
+            assert_bounded(decode(random_genotype(rng, 100)))
+
+    @pytest.mark.parametrize("source", [case[0] for case in TestCanonicalPinned.CASES])
+    def test_pinned(self, source):
+        mol = decode_text(source) if source.startswith("[") else parse_smiles(source)
+        assert_bounded(MolecularGraph(mol.elements, mol.bond_list))
+
+    @pytest.mark.parametrize("source, perm", [case[:2] for case in TestCanonicalPinned.RELABELLED])
+    def test_pinned_relabelled(self, source, perm):
+        assert_bounded(relabelled(parse_smiles(source), perm))
+
+    def test_two_character_digits(self):
+        # a ladder whose carbon rail is walked first: every rung stays open
+        # until the nitrogen rail comes back, so 11 closures are open at once
+        text = "C1C2C3C4C5C6C7C8C9C%10C%11CNN%11N%10N9N8N7N6N5N4N3N2N1"
+        mol = parse_smiles(text)
+        assert mol.canonical() == text and "%" in text
+        # n = 24, no multiple bonds, r = 11; 20 atoms of degree 3
+        assert canonical_length_bounds(mol) == (24 + 2 * 11, 24 + 18 + 6 * 2 + 2 + 2 * 20)
+        assert_bounded(mol)
+
+    def test_connected_decode_is_not_rendered(self):
+        mol = decode_text("[C][C][Branch1][C][O][C][=C][C][Ring1][Ring1][N]")
+        fresh = MolecularGraph(mol.elements, mol.bond_list)
+        canonical_length_bounds(fresh)
+        assert "canonical" not in fresh._cache
+
+    @pytest.mark.parametrize("mol", [
+        # two components: the canonical walk writes one of them
+        MolecularGraph(["C", "C", "C", "O"], [(0, 1, 1), (2, 3, 2)]),
+        MolecularGraph(["C", "N", "O", "C", "C"], [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 3)]),
+        # connected, but atom 1's only neighbor comes after it
+        MolecularGraph(["C", "C", "O"], [(0, 2, 1), (1, 2, 1)]),
+    ])
+    def test_unproven_connectivity_is_rendered(self, mol):
+        k = len(mol.canonical())
+        assert canonical_length_bounds(mol) == (k, k)
 
 
 class TestParseSmiles:

@@ -1,11 +1,18 @@
 import math
+import random
 
 import pytest
 
 from molga import tasks
 from molga.codec import decode, parse_genotype
 from molga.evolver import EvolverConfig, run
-from molga.graph import MolecularGraph, fingerprint, parse_smiles, tanimoto
+from molga.graph import (
+    MolecularGraph,
+    canonical_length_bounds,
+    fingerprint,
+    parse_smiles,
+    tanimoto,
+)
 from molga.props import penalized_logp
 from molga.reference import ReferenceSet, synthetic_reference
 from molga.schedules import BetaSchedule
@@ -24,6 +31,8 @@ from molga.tasks import (
     run_property_target,
     run_random_baseline,
 )
+
+from helpers import random_genotype_per_symbol
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +272,64 @@ class TestRandomBaseline:
     def test_rejects_zero(self, ref):
         with pytest.raises(ValueError):
             run_random_baseline(ref, 0)
+
+
+def structure(mol: MolecularGraph) -> tuple:
+    return mol.elements, mol.bond_list
+
+
+class TestSamplersMatchRendering:
+    """The random baseline and the synthetic reference decide by canonical
+    length bounds where they can; both must keep exactly the samples that
+    rendering every canonical string keeps. At these tight caps the bounds
+    settle some samples and leave others to the rendered string."""
+
+    @pytest.mark.parametrize("cap", [6, 12])
+    def test_random_baseline(self, ref, cap, monkeypatch):
+        rng = random.Random(5)
+        values, kept = [], []
+        best_j, best, by_bound, rendered = -math.inf, None, 0, 0
+        while len(values) < 400:
+            genotype = random_genotype_per_symbol(rng, 100)
+            mol = decode(genotype)
+            if canonical_length_bounds(mol)[1] <= cap:
+                by_bound += 1
+            else:
+                rendered += 1
+            if len(mol.canonical()) > cap:
+                continue
+            j = penalized_logp(mol, ref.prop_stats).j
+            values.append(j)
+            kept.append(structure(mol))
+            if j > best_j:
+                best_j, best = j, (mol.canonical(), genotype.text())
+        assert by_bound and rendered
+
+        scored = []
+
+        def recording(mol, stats):
+            scored.append(structure(mol))
+            return penalized_logp(mol, stats)
+
+        monkeypatch.setattr(tasks, "penalized_logp", recording)
+        res = run_random_baseline(ref, 400, seed=5, max_canonical_len=cap)
+        assert res.j_values == values
+        assert (res.best_canonical, res.best_genotype) == best
+        assert scored == kept
+
+    def test_synthetic_reference(self):
+        rng = random.Random(9)
+        kept, outcomes = [], set()
+        while len(kept) < 300:
+            mol = decode(random_genotype_per_symbol(rng, 60))
+            lo, hi = canonical_length_bounds(mol)
+            outcomes.add("out" if hi < 10 or lo > 14 else "in" if 10 <= lo and hi <= 14
+                         else "straddles")
+            if 10 <= len(mol.canonical()) <= 14:
+                kept.append(structure(mol))
+        assert outcomes == {"out", "in", "straddles"}
+        built = synthetic_reference(300, seed=9, min_canonical=10, max_canonical=14)
+        assert [structure(mol) for mol in built.graphs] == kept
 
 
 class TestBetaSweep:
