@@ -15,6 +15,10 @@ import numpy as np
 from .errors import MolgaError
 from .graph import Fingerprint, tanimoto
 
+KMEANS_MAX_ITER = 100
+POWER_TOL = 1e-9
+POWER_MAX_ITER = 1000
+
 
 class TooFewPoints(MolgaError):
     """Fewer points than clusters requested."""
@@ -50,11 +54,10 @@ def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.n
     return labels, np.maximum(d2[np.arange(len(points)), labels], 0.0)
 
 
-def kmeans(points: np.ndarray, k: int = 20, seed: int = 0,
-           max_iter: int = 100) -> ClusterAssignment:
+def kmeans(points: np.ndarray, k: int = 20, seed: int = 0) -> ClusterAssignment:
     """Lloyd iterations from a k-means++ seeding.
 
-    Runs to an assignment fixed point or max_iter; empty clusters are
+    Runs to an assignment fixed point or KMEANS_MAX_ITER; empty clusters are
     re-seeded with the point farthest from its assigned centroid. The
     inertia trace is recorded per iteration and is non-increasing.
     """
@@ -81,7 +84,7 @@ def kmeans(points: np.ndarray, k: int = 20, seed: int = 0,
 
     labels, dist2 = _assign(points, centroids)
     trace: list[float] = [float(dist2.sum())]
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         new_centroids = centroids.copy()
         for c in range(k):
             members = labels == c
@@ -112,13 +115,12 @@ class Pca2:
         return (np.asarray(points, dtype=np.float64) - self.mean) @ self.axes.T
 
 
-def _power_iteration(matvec, dim: int, tol: float = 1e-9, max_iter: int = 1000,
-                     seed: int = 0) -> tuple[np.ndarray, float]:
+def _power_iteration(matvec, dim: int, seed: int = 0) -> tuple[np.ndarray, float]:
     rng = np.random.RandomState(seed)
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = matvec(v)
         norm = np.linalg.norm(w)
         if norm < 1e-300:
@@ -127,7 +129,7 @@ def _power_iteration(matvec, dim: int, tol: float = 1e-9, max_iter: int = 1000,
         w /= norm
         if np.dot(w, v) < 0:
             w = -w
-        done = np.linalg.norm(w - v) < tol
+        done = np.linalg.norm(w - v) < POWER_TOL
         v = w
         lam = float(np.dot(v, matvec(v)))
         if done:

@@ -437,12 +437,14 @@ def _cmd_props(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    if args.synthetic_reference:
-        ref = synthetic_reference(args.synthetic_reference, seed=args.seed or 0)
-    else:
-        ref, _ = load_reference(args.reference or bundled_reference_path())
-    res = tasks.run_random_baseline(ref, args.n, seed=args.seed or 0)
-    print(json.dumps(res.to_dict(), indent=2))
+    doc: dict[str, Any] = {"task": "random_baseline", "random_baseline": {"n_samples": args.n}}
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    if args.synthetic_reference is not None:
+        doc["reference"] = {"synthetic": args.synthetic_reference}
+    elif args.reference is not None:
+        doc["reference"] = args.reference
+    print(json.dumps(run_task(parse_config(doc), None)["result"], indent=2))
     return 0
 
 

@@ -27,6 +27,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 BATCH_SIZE = 32
+EPOCHS = 10
 
 
 class NonFiniteLoss(MolgaError):
@@ -140,63 +141,47 @@ class FeatureStats:
         return FeatureStats(np.zeros(dim), np.ones(dim))
 
 
+_WEIGHT_SHAPES = list(zip(LAYER_SIZES, LAYER_SIZES[1:]))
+_BIAS_SHAPES = [(n,) for n in LAYER_SIZES[1:]]
+N_PARAMS = sum(a * b for a, b in _WEIGHT_SHAPES) + sum(LAYER_SIZES[1:])
+
+
+def _layer_views(flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views of a flat N_PARAMS vector."""
+    views, lo = [], 0
+    for shape in _WEIGHT_SHAPES + _BIAS_SHAPES:
+        size = math.prod(shape)
+        views.append(flat[lo : lo + size].reshape(shape))
+        lo += size
+    return views[: len(_WEIGHT_SHAPES)], views[len(_WEIGHT_SHAPES) :]
+
+
 @dataclass
 class DiscriminatorModel:
-    """Network parameters plus adaptive-moment optimizer state."""
+    """Network parameters plus Adam state. `params`, `m` and `v` are flat
+    N_PARAMS vectors (every weight matrix, then every bias vector);
+    `weights` and `biases` are per-layer views of `params`."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    m_w: list[np.ndarray] = field(default_factory=list)
-    v_w: list[np.ndarray] = field(default_factory=list)
-    m_b: list[np.ndarray] = field(default_factory=list)
-    v_b: list[np.ndarray] = field(default_factory=list)
+    params: np.ndarray
+    m: np.ndarray = field(default_factory=lambda: np.zeros(N_PARAMS))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(N_PARAMS))
     step_count: int = 0
     feature_stats: FeatureStats = field(default_factory=FeatureStats.identity)
 
-    @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[0]
-
-    def snapshot(self) -> dict:
-        return {
-            "weights": [w.copy() for w in self.weights],
-            "biases": [b.copy() for b in self.biases],
-            "m_w": [m.copy() for m in self.m_w],
-            "v_w": [v.copy() for v in self.v_w],
-            "m_b": [m.copy() for m in self.m_b],
-            "v_b": [v.copy() for v in self.v_b],
-            "step_count": self.step_count,
-        }
-
-    def restore(self, snap: dict) -> None:
-        self.weights = snap["weights"]
-        self.biases = snap["biases"]
-        self.m_w = snap["m_w"]
-        self.v_w = snap["v_w"]
-        self.m_b = snap["m_b"]
-        self.v_b = snap["v_b"]
-        self.step_count = snap["step_count"]
+    def __post_init__(self) -> None:
+        self.weights, self.biases = _layer_views(self.params)
 
 
-def init_model(rng, feature_stats: FeatureStats | None = None,
-               layer_sizes: tuple[int, ...] = LAYER_SIZES) -> DiscriminatorModel:
+def init_model(rng, feature_stats: FeatureStats | None = None) -> DiscriminatorModel:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases; draws come
     from the caller's RNG stream so runs stay reproducible."""
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+    model = DiscriminatorModel(np.zeros(N_PARAMS))
+    for w in model.weights:
+        fan_in, fan_out = w.shape
         bound = math.sqrt(6.0 / (fan_in + fan_out))
-        w = np.array(
-            [[rng.uniform(-bound, bound) for _ in range(fan_out)] for _ in range(fan_in)],
-            dtype=np.float64,
-        )
-        weights.append(w)
-        biases.append(np.zeros(fan_out, dtype=np.float64))
-    model = DiscriminatorModel(weights=weights, biases=biases)
-    model.m_w = [np.zeros_like(w) for w in weights]
-    model.v_w = [np.zeros_like(w) for w in weights]
-    model.m_b = [np.zeros_like(b) for b in biases]
-    model.v_b = [np.zeros_like(b) for b in biases]
-    model.feature_stats = feature_stats if feature_stats is not None else FeatureStats.identity()
+        w[:] = [[rng.uniform(-bound, bound) for _ in range(fan_out)] for _ in range(fan_in)]
+    if feature_stats is not None:
+        model.feature_stats = feature_stats
     return model
 
 
@@ -227,9 +212,9 @@ def predict(model: DiscriminatorModel, features: np.ndarray) -> float | np.ndarr
     single = f.ndim == 1
     if single:
         f = f[None, :]
-    if f.shape[1] != model.input_dim:
+    if f.shape[1] != N_FEATURES:
         raise ValueError(
-            f"feature dimension {f.shape[1]} does not match model input {model.input_dim}")
+            f"feature dimension {f.shape[1]} does not match model input {N_FEATURES}")
     z = (f - model.feature_stats.mean) / model.feature_stats.std
     p, _ = _forward(model, z)
     return float(p[0]) if single else p
@@ -254,33 +239,22 @@ def loss_and_gradients(model: DiscriminatorModel, x: np.ndarray, y: np.ndarray):
     return loss, grad_w[::-1], grad_b[::-1]
 
 
-def _pack(weights: list[np.ndarray], biases: list[np.ndarray]):
-    """One flat copy of the weight and bias arrays, with views of it
-    shaped like each of them."""
-    flat = np.concatenate([a.ravel() for a in weights + biases])
-    views, lo = [], 0
-    for a in weights + biases:
-        views.append(flat[lo : lo + a.size].reshape(a.shape))
-        lo += a.size
-    return flat, views[: len(weights)], views[len(weights) :]
-
-
-def _adam_update(model: DiscriminatorModel, params: np.ndarray, m: np.ndarray,
-                 v: np.ndarray, grad: np.ndarray) -> None:
+def _adam_update(model: DiscriminatorModel, grad: np.ndarray) -> None:
     """One Adam step on the flat parameter vector and its moments."""
     model.step_count += 1
     t = model.step_count
     corr1 = 1.0 - ADAM_BETA1 ** t
     corr2 = 1.0 - ADAM_BETA2 ** t
+    m, v = model.m, model.v
     m *= ADAM_BETA1
     m += (1 - ADAM_BETA1) * grad
     v *= ADAM_BETA2
     v += (1 - ADAM_BETA2) * grad * grad
-    params -= ADAM_STEP * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+    model.params -= ADAM_STEP * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
 
 
 def train(model: DiscriminatorModel, ga_samples: np.ndarray, ref_samples: np.ndarray,
-          epochs: int = 10, rng=None) -> list[float]:
+          epochs: int = EPOCHS, rng=None) -> list[float]:
     """Train on GA molecules (label 0) vs reference molecules (label 1).
 
     Mini-batches of 32, shuffled per epoch with the supplied RNG; returns
@@ -291,18 +265,13 @@ def train(model: DiscriminatorModel, ga_samples: np.ndarray, ref_samples: np.nda
         raise ValueError("both sample collections must be non-empty")
     x = np.concatenate([np.asarray(ga_samples, dtype=np.float64),
                         np.asarray(ref_samples, dtype=np.float64)])
-    if x.shape[1] != model.input_dim:
+    if x.shape[1] != N_FEATURES:
         raise ValueError(
-            f"feature dimension {x.shape[1]} does not match model input {model.input_dim}")
+            f"feature dimension {x.shape[1]} does not match model input {N_FEATURES}")
     y = np.concatenate([np.zeros(len(ga_samples)), np.ones(len(ref_samples))])
     x = (x - model.feature_stats.mean) / model.feature_stats.std
 
-    snap = model.snapshot()
-    # Adam steps every parameter at once: the weights, the biases and their
-    # moment estimates become views of three flat vectors
-    params, model.weights, model.biases = _pack(model.weights, model.biases)
-    m, model.m_w, model.m_b = _pack(model.m_w, model.m_b)
-    v, model.v_w, model.v_b = _pack(model.v_w, model.v_b)
+    saved = (model.params.copy(), model.m.copy(), model.v.copy(), model.step_count)
     indices = list(range(len(y)))
     losses: list[float] = []
     for _ in range(epochs):
@@ -313,9 +282,10 @@ def train(model: DiscriminatorModel, ga_samples: np.ndarray, ref_samples: np.nda
             batch = indices[lo : lo + BATCH_SIZE]
             loss, gw, gb = loss_and_gradients(model, x[batch], y[batch])
             if not math.isfinite(loss):
-                model.restore(snap)
+                # in place, so the layer views keep reading the model
+                model.params[:], model.m[:], model.v[:], model.step_count = saved
                 raise NonFiniteLoss(f"loss became {loss}")
-            _adam_update(model, params, m, v, np.concatenate([g.ravel() for g in gw + gb]))
+            _adam_update(model, np.concatenate([g.ravel() for g in gw + gb]))
             total += loss * len(batch)
         losses.append(total / len(indices))
     return losses
@@ -329,15 +299,18 @@ _CKPT_FORMAT = "molga-discriminator-1"
 
 
 def save_checkpoint(model: DiscriminatorModel, path: str) -> None:
+    """Write the model as JSON, every vector as per-layer lists."""
+    m_w, m_b = _layer_views(model.m)
+    v_w, v_b = _layer_views(model.v)
     doc = {
         "format": _CKPT_FORMAT,
-        "layer_sizes": [model.weights[0].shape[0]] + [w.shape[1] for w in model.weights],
+        "layer_sizes": list(LAYER_SIZES),
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
-        "m_w": [m.tolist() for m in model.m_w],
-        "v_w": [v.tolist() for v in model.v_w],
-        "m_b": [m.tolist() for m in model.m_b],
-        "v_b": [v.tolist() for v in model.v_b],
+        "m_w": [m.tolist() for m in m_w],
+        "v_w": [v.tolist() for v in v_w],
+        "m_b": [m.tolist() for m in m_b],
+        "v_b": [v.tolist() for v in v_b],
         "step_count": model.step_count,
         "feature_mean": model.feature_stats.mean.tolist(),
         "feature_std": model.feature_stats.std.tolist(),
@@ -346,30 +319,38 @@ def save_checkpoint(model: DiscriminatorModel, path: str) -> None:
         json.dump(doc, fh)
 
 
+def _checked_array(value, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    a = np.array(value, dtype=np.float64)
+    if a.shape != shape:
+        raise ValueError(f"checkpoint {name} has shape {a.shape}, expected {shape}")
+    return a
+
+
+def _flat_from_layers(doc: dict, w_key: str, b_key: str) -> np.ndarray:
+    """One N_PARAMS vector from the per-layer lists under two keys,
+    checked against LAYER_SIZES."""
+    return np.concatenate([
+        _checked_array(a, f"{key}[{k}]", shape).ravel()
+        for key, shapes in ((w_key, _WEIGHT_SHAPES), (b_key, _BIAS_SHAPES))
+        # strict: a missing or extra layer is a ValueError too
+        for k, (a, shape) in enumerate(zip(doc[key], shapes, strict=True))
+    ])
+
+
 def load_checkpoint(path: str) -> DiscriminatorModel:
+    """Read a model written by save_checkpoint; a shape that does not
+    match LAYER_SIZES is a ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("format") != _CKPT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format {doc.get('format')!r}")
-    sizes = doc["layer_sizes"]
-    weights = [np.array(w, dtype=np.float64) for w in doc["weights"]]
-    biases = [np.array(b, dtype=np.float64) for b in doc["biases"]]
-    for k, w in enumerate(weights):
-        if w.shape != (sizes[k], sizes[k + 1]):
-            raise ValueError(f"layer {k} weights {w.shape} do not match sizes {sizes}")
-        if biases[k].shape != (sizes[k + 1],):
-            raise ValueError(f"layer {k} bias shape {biases[k].shape} mismatched")
-    model = DiscriminatorModel(
-        weights=weights,
-        biases=biases,
-        m_w=[np.array(m, dtype=np.float64) for m in doc["m_w"]],
-        v_w=[np.array(v, dtype=np.float64) for v in doc["v_w"]],
-        m_b=[np.array(m, dtype=np.float64) for m in doc["m_b"]],
-        v_b=[np.array(v, dtype=np.float64) for v in doc["v_b"]],
+    if doc["layer_sizes"] != list(LAYER_SIZES):
+        raise ValueError(f"layer sizes {doc['layer_sizes']} are not {list(LAYER_SIZES)}")
+    return DiscriminatorModel(
+        params=_flat_from_layers(doc, "weights", "biases"),
+        m=_flat_from_layers(doc, "m_w", "m_b"),
+        v=_flat_from_layers(doc, "v_w", "v_b"),
         step_count=doc["step_count"],
         feature_stats=FeatureStats(
-            np.array(doc["feature_mean"], dtype=np.float64),
-            np.array(doc["feature_std"], dtype=np.float64),
-        ),
+            *(_checked_array(doc[k], k, (N_FEATURES,)) for k in ("feature_mean", "feature_std"))),
     )
-    return model

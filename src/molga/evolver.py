@@ -32,15 +32,20 @@ from .schedules import BetaSchedule, next_beta
 
 Objective = Callable[[MolecularGraph, PropertyRecord], float]
 
+KILL_SLOPE = 10.0
+KILL_CENTER = 0.5
+MUTATION_RETRIES = 10
+
 
 def fitness(j: float, d: float, beta: float) -> float:
     """Selection score: objective plus weighted discriminator score."""
     return j + beta * d
 
 
-def kill_probabilities(fitnesses: Sequence[float], ages: Sequence[int] | None = None,
-                       slope: float = 10.0, center: float = 0.5) -> list[float]:
-    """Replacement probability from the rank-logistic rule.
+def kill_probabilities(fitnesses: Sequence[float],
+                       ages: Sequence[int] | None = None) -> list[float]:
+    """Replacement probability from the rank-logistic rule,
+    1 / (1 + exp(-KILL_SLOPE * (r - KILL_CENTER))) at normalized rank r.
 
     Individuals are ranked by fitness descending (ties: lower age first,
     then insertion order); normalized rank 0 is the best. A single-member
@@ -57,7 +62,7 @@ def kill_probabilities(fitnesses: Sequence[float], ages: Sequence[int] | None = 
     probs = [0.0] * n
     for rank, i in enumerate(order):
         r = rank / (n - 1)
-        probs[i] = 1.0 / (1.0 + math.exp(-slope * (r - center)))
+        probs[i] = 1.0 / (1.0 + math.exp(-KILL_SLOPE * (r - KILL_CENTER)))
     return probs
 
 
@@ -72,16 +77,16 @@ def draw_mutation_kind(rng: random.Random) -> str:
 
 
 def mutate(g: Genotype, rng: random.Random, max_canonical_len: int = 81,
-           max_genotype_len: int = 100, retries: int = 10) -> Genotype:
+           max_genotype_len: int = 100) -> Genotype:
     """Single-symbol insertion/replacement or phenyl-block splice.
 
     The result must decode to a molecule whose canonical form fits
     max_canonical_len (and the genotype itself must fit max_genotype_len);
-    up to `retries` fresh draws, after which the parent is returned
+    up to MUTATION_RETRIES fresh draws, after which the parent is returned
     unchanged.
     """
     symbols = list(g.symbols)
-    for _ in range(retries):
+    for _ in range(MUTATION_RETRIES):
         kind = draw_mutation_kind(rng)
         if kind == "phenyl":
             pos = rng.randint(0, len(symbols))
@@ -153,15 +158,12 @@ class EvolverConfig:
     generations: int = 100
     schedule: BetaSchedule = field(default_factory=lambda: BetaSchedule.const(0.0))
     use_discriminator: bool = False
-    discriminator_epochs: int = 10
     elite_count: int = 1
     parent_selection: str = "uniform-survivors"  # or "top-fraction"
     top_fraction: float = 0.2
     max_canonical_len: int = 81
     max_genotype_len: int = 100
     archive_k: int = 50
-    kill_slope: float = 10.0
-    kill_center: float = 0.5
     seed: int = 0
     snapshot_every: int = 0  # 0 disables population snapshots
     initial_genotypes: list[Genotype] | None = None
@@ -198,16 +200,14 @@ class Evolver:
     """Mutable run state; step() advances one generation."""
 
     def __init__(self, config: EvolverConfig, reference: ReferenceSet,
-                 objective: Objective | None = None,
-                 model: DiscriminatorModel | None = None):
+                 objective: Objective | None = None):
         config.validate()
         self.config = config
         self.reference = reference
         self.objective = objective
         self.rng = random.Random(config.seed)
-        self.model = model
-        if config.use_discriminator and self.model is None:
-            self.model = init_model(self.rng, reference.feature_stats)
+        self.model: DiscriminatorModel | None = (
+            init_model(self.rng, reference.feature_stats) if config.use_discriminator else None)
         self.population: list[Individual] = []
         self.archive: dict[str, ArchiveEntry] = {}
         self.generation = 0
@@ -278,8 +278,7 @@ class Evolver:
         for ind in pop:
             ind.fitness = fitness(ind.score, ind.d, beta)
 
-        probs = kill_probabilities([i.fitness for i in pop], [i.age for i in pop],
-                                   cfg.kill_slope, cfg.kill_center)
+        probs = kill_probabilities([i.fitness for i in pop], [i.age for i in pop])
         kill = [self.rng.random() < probs[i] for i in range(n)]
         elite_order = sorted(range(n), key=lambda i: (-pop[i].fitness, pop[i].age, i))
         for e in elite_order[: cfg.elite_count]:
@@ -310,8 +309,7 @@ class Evolver:
             ref_idx = [self.rng.randrange(len(self.reference)) for _ in range(n)]
             self.n_ref_samples_last = len(ref_idx)
             ref_feats = self.reference.features[ref_idx]
-            train(self.model, ga_feats, ref_feats,
-                  epochs=cfg.discriminator_epochs, rng=self.rng)
+            train(self.model, ga_feats, ref_feats, rng=self.rng)
         self._refresh_d_scores()
 
         self._update_archive(children)
@@ -337,7 +335,6 @@ class Evolver:
 
 def run(config: EvolverConfig, reference: ReferenceSet,
         objective: Objective | None = None,
-        model: DiscriminatorModel | None = None,
         log_callback: Callable[[GenerationLog], None] | None = None,
         stop_condition: Callable[[Evolver], bool] | None = None) -> RunResult:
     """Drive an Evolver for the configured number of generations.
@@ -345,7 +342,7 @@ def run(config: EvolverConfig, reference: ReferenceSet,
     `stop_condition` is checked after every generation and ends the run
     early when it returns True (used by target-seeking tasks).
     """
-    ev = Evolver(config, reference, objective, model)
+    ev = Evolver(config, reference, objective)
     logs = [ev.initialize()]
     snapshots: dict[int, list[tuple[str, str, float]]] = {}
 

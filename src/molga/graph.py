@@ -174,19 +174,43 @@ def validate(g: MolecularGraph) -> list[str]:
         total = g.bond_order_sum(i)
         if total > VALENCE[el]:
             problems.append(f"atom {i} ({el}) bond-order sum {total} exceeds cap {VALENCE[el]}")
-    if g.n_atoms > 1:
-        seen_atoms = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v, _ in g.neighbors(u):
-                if v not in seen_atoms:
-                    seen_atoms.add(v)
-                    stack.append(v)
-        missing = [i for i in range(g.n_atoms) if i not in seen_atoms]
-        if missing:
-            problems.append(f"disconnected atoms: {missing}")
+    components = _components(g)
+    if len(components) > 1:
+        missing = sorted(i for comp in components[1:] for i in comp)
+        problems.append(f"disconnected atoms: {missing}")
     return problems
+
+
+def _proven_connected(g: MolecularGraph) -> bool:
+    """True when every atom after the first has a lower-indexed neighbor,
+    which proves the graph connected. Every decoded or parsed graph passes
+    (each atom is placed bonded to an earlier one); a relabelled connected
+    graph may not."""
+    adj = g._adj
+    return all(adj[i] and adj[i][0][0] < i for i in range(1, len(adj)))
+
+
+def _components(g: MolecularGraph) -> list[list[int]]:
+    """Sorted atom indices of each connected component, ordered by their
+    lowest atom."""
+    n = g.n_atoms
+    if _proven_connected(g):
+        return [list(range(n))]
+    seen = [False] * n
+    components = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp, stack = [root], [root]
+        while stack:
+            for v, _ in g._adj[stack.pop()]:
+                if not seen[v]:
+                    seen[v] = True
+                    comp.append(v)
+                    stack.append(v)
+        components.append(sorted(comp))
+    return components
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +462,14 @@ _Step = tuple[int, int, int, bool]
 
 
 def _canonical_string(g: MolecularGraph) -> str:
+    """The canonical text of a connected graph. A disconnected graph's is
+    its components' texts, sorted and joined by dots."""
     n = g.n_atoms
     if n == 1:
         return g.elements[0]
+    components = _components(g)
+    if len(components) > 1:
+        return ".".join(sorted(_subgraph(g, comp).canonical() for comp in components))
     ranks = _refined_ranks(g)
     # each atom's bonds in the order the DFS takes them (by neighbor rank,
     # then neighbor index), with the bond's bit in the `done` mask and the
@@ -463,6 +492,13 @@ def _canonical_string(g: MolecularGraph) -> str:
         if ranks[start] == lowest:
             _traverse(order, g.elements, start, (start, None), 0, 1 << start, [], renders)
     return min(renders)
+
+
+def _subgraph(g: MolecularGraph, atoms: list[int]) -> MolecularGraph:
+    """The graph induced on `atoms`, relabelled 0..k-1 in the order given."""
+    index = {a: k for k, a in enumerate(atoms)}
+    return MolecularGraph([g.elements[a] for a in atoms],
+                          [(index[a], index[b], o) for a, b, o in g.bond_list if a in index])
 
 
 def _traverse(order: list[list[tuple[int, int, int, int, int]]], elements: tuple[str, ...],
@@ -569,17 +605,15 @@ def canonical_length_bounds(g: MolecularGraph) -> tuple[int, int]:
     So lo = n + b + 2r (no branches, one-character digits) and hi adds
     the maxima.
 
-    The bounds need one component, since `_canonical_string` walks only
-    the start atom's. Every atom after the first having a lower-indexed
-    neighbor proves that, and holds for every decoded or parsed graph
-    (each atom is placed bonded to an earlier one). A graph that fails the
-    test, or has more closures than `_render` has digits for, is rendered,
-    and its bounds are its length.
+    The bounds hold for a connected graph, which `_proven_connected`
+    proves cheaply for every decoded or parsed graph. A graph that fails
+    that test, or has more closures than `_render` has digits for, is
+    rendered, and its bounds are its length.
     """
     adj = g._adj
     n = len(adj)
     r = len(g.bonds) - n + 1
-    if r > 99 or not all(adj[i] and adj[i][0][0] < i for i in range(1, n)):
+    if r > 99 or not _proven_connected(g):
         k = len(g.canonical())
         return k, k
     b = sum(1 for o in g.bonds.values() if o > 1)

@@ -127,18 +127,6 @@ class NormStats:
     def identity() -> "NormStats":
         return NormStats(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "logp_mean": self.logp_mean, "logp_std": self.logp_std,
-            "sa_mean": self.sa_mean, "sa_std": self.sa_std,
-            "ring_mean": self.ring_mean, "ring_std": self.ring_std,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "NormStats":
-        return NormStats(d["logp_mean"], d["logp_std"], d["sa_mean"],
-                         d["sa_std"], d["ring_mean"], d["ring_std"])
-
 
 @dataclass(frozen=True)
 class PropertyRecord:

@@ -66,8 +66,8 @@ class ReferenceSet:
         return [g.canonical() for g in self.graphs]
 
 
-def load_reference(path: str, min_usable: int = MIN_USABLE) -> tuple[ReferenceSet, LoadReport]:
-    """Load a SMILES file, skipping bad lines; needs >= min_usable molecules."""
+def load_reference(path: str) -> tuple[ReferenceSet, LoadReport]:
+    """Load a SMILES file, skipping bad lines; needs >= MIN_USABLE molecules."""
     report = LoadReport()
     graphs: list[MolecularGraph] = []
     with open(path) as fh:
@@ -83,9 +83,9 @@ def load_reference(path: str, min_usable: int = MIN_USABLE) -> tuple[ReferenceSe
             except MolgaError as exc:
                 report.n_failed += 1
                 report.failures.append((lineno, str(exc)))
-    if report.n_usable < min_usable:
+    if report.n_usable < MIN_USABLE:
         raise EmptyReference(
-            f"only {report.n_usable} usable molecules in {path} (need >= {min_usable})")
+            f"only {report.n_usable} usable molecules in {path} (need >= {MIN_USABLE})")
     return ReferenceSet(graphs), report
 
 

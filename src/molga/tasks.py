@@ -260,19 +260,18 @@ class PropertyTargetResult:
 
 
 def run_property_target(targets: PropertyTargets, ref: ReferenceSet,
-                        config: EvolverConfig, *,
-                        early_stop: bool = True) -> PropertyTargetResult:
+                        config: EvolverConfig) -> PropertyTargetResult:
     """Seek a molecule matching the raw property targets (SSD < 1.0).
 
-    With early_stop the run ends at the first generation whose best-ever
-    molecule already satisfies the success criterion.
+    The run ends at the first generation whose best-ever molecule already
+    satisfies the success criterion.
     """
 
     def objective(graph: MolecularGraph, record: PropertyRecord) -> float:
         return property_target_fitness(record, targets)
 
-    stop = (lambda ev: ev.best_ever() > -SUCCESS_SSD) if early_stop else None
-    result = run(_without_discriminator(config), ref, objective, stop_condition=stop)
+    result = run(_without_discriminator(config), ref, objective,
+                 stop_condition=lambda ev: ev.best_ever() > -SUCCESS_SSD)
     best = result.best
     ssd = -best.score
     return PropertyTargetResult(
@@ -293,11 +292,9 @@ class PropertyTargetBatchResult:
 
 
 def run_property_target_batch(ref: ReferenceSet, config: EvolverConfig, *,
-                              n_targets: int = 100,
-                              early_stop: bool = True) -> PropertyTargetBatchResult:
+                              n_targets: int = 100) -> PropertyTargetBatchResult:
     targets = draw_property_targets(ref, n_targets, config.seed)
-    results = [run_property_target(t, ref, _nth_run(config, k), early_stop=early_stop)
-               for k, t in enumerate(targets)]
+    results = [run_property_target(t, ref, _nth_run(config, k)) for k, t in enumerate(targets)]
     rate = sum(r.success for r in results) / len(results)
     return PropertyTargetBatchResult(results, rate)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -235,6 +236,12 @@ class TestSubcommands:
         doc = json.loads(out)
         assert doc["n"] == 20
 
+    def test_baseline_rejects_zero_samples(self, capsys):
+        code, _, err = _run_cli(["baseline", "-n", "0", "--synthetic-reference", "120"],
+                                capsys)
+        assert code == 1
+        assert "random_baseline.n_samples" in err
+
     def test_run_missing_config(self, capsys):
         code, _, err = _run_cli(["run", "/no/such/config.json"], capsys)
         assert code == 1
@@ -388,6 +395,16 @@ class TestPinnedHashes:
         assert got == expected, (
             f"{doc} now hashes to {got}: name the behaviour that changed on "
             "purpose, then update the pinned hash")
+
+
+class TestPinnedCheckpoint:
+    # discriminator.json is not covered by the determinism hash; these are
+    # its bytes after the first pinned unconstrained run
+    def test_discriminator_json_unchanged(self, tmp_path):
+        doc = {**_SMALL, "task": "unconstrained", "beta": 5.0}
+        run_task(parse_config(doc), str(tmp_path))
+        got = hashlib.sha256((tmp_path / "discriminator.json").read_bytes()).hexdigest()
+        assert got == "e6fab3ec8fab36cab0fceecfd05ba2dcb7d2107845da639f4afea2ccd241cc90"
 
 
 class TestSweepCommand:

@@ -261,6 +261,33 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(str(path))
 
+    def test_adam_moments_survive(self, tmp_path):
+        a, b = _blobs(40)
+        model = init_model(random.Random(5))
+        train(model, a, b, epochs=2, rng=random.Random(1))
+        path = tmp_path / "model.json"
+        save_checkpoint(model, str(path))
+        loaded = load_checkpoint(str(path))
+        train(model, a, b, epochs=1, rng=random.Random(2))
+        train(loaded, a, b, epochs=1, rng=random.Random(2))
+        assert loaded.step_count == model.step_count
+        assert np.array_equal(loaded.params, model.params)
+
+    @pytest.mark.parametrize("key, value", [
+        ("weights", [[[0.0] * 32] * 16, [[0.0] * 16] * 32]),  # a layer missing
+        ("m_w", [[[0.0] * 3], [[0.0] * 16] * 32, [[0.0]] * 16]),
+        ("v_b", []),
+        ("feature_std", [1.0] * 15),
+    ])
+    def test_shape_validation(self, tmp_path, key, value):
+        path = tmp_path / "model.json"
+        save_checkpoint(init_model(random.Random(0)), str(path))
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            load_checkpoint(str(path))
+
     def test_format_validation(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"format": "other"}))

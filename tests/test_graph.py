@@ -127,6 +127,18 @@ class TestCanonical:
             for _ in range(5):
                 assert canonical(permuted(mol, rng)) == base
 
+    @pytest.mark.parametrize("elements, bonds, expected", [
+        (["C", "C", "C", "O"], [(0, 1, 1), (2, 3, 2)], "C=O.CC"),  # ethane + formaldehyde
+        (["C", "C", "C", "O"], [(0, 1, 1), (2, 3, 1)], "CC.CO"),  # ethane + methanol
+        (["C", "C"], [], "C.C"),
+    ])
+    def test_disconnected_writes_every_component(self, elements, bonds, expected):
+        mol = MolecularGraph(elements, bonds)
+        assert canonical(mol) == expected
+        rng = random.Random(len(expected))
+        for _ in range(10):
+            assert canonical(permuted(mol, rng)) == expected
+
     def test_reparse_isomorphic(self):
         rng = random.Random(3)
         checked = 0
