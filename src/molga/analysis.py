@@ -115,7 +115,7 @@ class Pca2:
         return (np.asarray(points, dtype=np.float64) - self.mean) @ self.axes.T
 
 
-def _power_iteration(matvec, dim: int, seed: int = 0) -> tuple[np.ndarray, float]:
+def _power_iteration(matvec, dim: int, seed: int) -> tuple[np.ndarray, float]:
     rng = np.random.RandomState(seed)
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)

@@ -259,7 +259,7 @@ def _write_outputs(out_dir: str, report: dict, result: RunResult | None) -> None
             os.makedirs(snap_dir, exist_ok=True)
             for gen, rows in sorted(result.snapshots.items()):
                 with open(os.path.join(snap_dir, f"gen_{gen:05d}.txt"), "w") as fh:
-                    for genotype_text, _, _ in rows:
+                    for genotype_text, _ in rows:
                         fh.write(genotype_text + "\n")
     report["determinism_hash"] = determinism_hash(report)
     with open(os.path.join(out_dir, "run_report.json"), "w") as fh:

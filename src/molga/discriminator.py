@@ -137,8 +137,8 @@ class FeatureStats:
         return FeatureStats(mean, std)
 
     @staticmethod
-    def identity(dim: int = N_FEATURES) -> "FeatureStats":
-        return FeatureStats(np.zeros(dim), np.ones(dim))
+    def identity() -> "FeatureStats":
+        return FeatureStats(np.zeros(N_FEATURES), np.ones(N_FEATURES))
 
 
 _WEIGHT_SHAPES = list(zip(LAYER_SIZES, LAYER_SIZES[1:]))
@@ -156,11 +156,12 @@ def _layer_views(flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return views[: len(_WEIGHT_SHAPES)], views[len(_WEIGHT_SHAPES) :]
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscriminatorModel:
     """Network parameters plus Adam state. `params`, `m` and `v` are flat
     N_PARAMS vectors (every weight matrix, then every bias vector);
-    `weights` and `biases` are per-layer views of `params`."""
+    `weights` and `biases` are per-layer views of `params`. Models compare
+    by identity (a field-wise == would compare arrays and raise)."""
 
     params: np.ndarray
     m: np.ndarray = field(default_factory=lambda: np.zeros(N_PARAMS))
@@ -185,25 +186,61 @@ def init_model(rng, feature_stats: FeatureStats | None = None) -> DiscriminatorM
     return model
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _buffers(rows: int) -> list[np.ndarray]:
+    """One (rows, width) buffer per layer output."""
+    return [np.empty((rows, k)) for k in LAYER_SIZES[1:]]
 
 
-def _forward(model: DiscriminatorModel, x: np.ndarray):
-    """Returns (probabilities, per-layer activations for backprop)."""
-    acts = [x]
+def _forward(model: DiscriminatorModel, x: np.ndarray, acts: list[np.ndarray]) -> np.ndarray:
+    """Probabilities for the rows of `x`, which must already be
+    feature-normalized. Each layer's output is written into the first
+    len(x) rows of its buffer in `acts` (see _buffers)."""
+    n = len(x)
     h = x
     last = len(model.weights) - 1
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b
-        h = _sigmoid(z) if k == last else np.maximum(z, 0.0)
-        acts.append(h)
-    return h[:, 0], acts
+        z = np.matmul(h, w, out=acts[k][:n])
+        z += b
+        if k == last:
+            # stable sigmoid: 1 / (1 + exp(-z)) for z >= 0, exp(z) / (1 + exp(z)) below
+            e = np.exp(-np.abs(z))
+            np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=z)
+        else:
+            np.maximum(z, 0.0, out=z)
+        h = z
+    return h[:, 0]
+
+
+def _backward(model: DiscriminatorModel, x: np.ndarray, acts: list[np.ndarray],
+              p: np.ndarray, y: np.ndarray, deltas: list[np.ndarray],
+              grad_w: list[np.ndarray], grad_b: list[np.ndarray]) -> None:
+    """Gradients of the mean binary cross-entropy after _forward(model, x,
+    acts) returned `p`, written into grad_w and grad_b. `deltas` are
+    scratch buffers shaped like `acts`."""
+    n = len(y)
+    last = len(model.weights) - 1
+    delta = deltas[last][:n]
+    np.subtract(p, y, out=delta[:, 0])  # sigmoid + BCE composite gradient
+    delta /= n
+    for k in range(last, -1, -1):
+        a = x if k == 0 else acts[k - 1][:n]
+        np.matmul(a.T, delta, out=grad_w[k])
+        np.add.reduce(delta, axis=0, out=grad_b[k])
+        if k > 0:
+            prev = np.matmul(delta, model.weights[k].T, out=deltas[k - 1][:n])
+            prev *= a > 0
+            delta = prev
+
+
+def _bce_terms(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample log-likelihoods; the loss is minus their mean."""
+    eps = 1e-12
+    return y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)
+
+
+def _mean_loss(terms: np.ndarray) -> float:
+    # np.add.reduce / n gives np.mean's bits without its overhead
+    return float(-(np.add.reduce(terms) / len(terms)))
 
 
 def predict(model: DiscriminatorModel, features: np.ndarray) -> float | np.ndarray:
@@ -216,7 +253,7 @@ def predict(model: DiscriminatorModel, features: np.ndarray) -> float | np.ndarr
         raise ValueError(
             f"feature dimension {f.shape[1]} does not match model input {N_FEATURES}")
     z = (f - model.feature_stats.mean) / model.feature_stats.std
-    p, _ = _forward(model, z)
+    p = _forward(model, z, _buffers(len(z)))
     return float(p[0]) if single else p
 
 
@@ -225,32 +262,35 @@ def loss_and_gradients(model: DiscriminatorModel, x: np.ndarray, y: np.ndarray):
 
     `x` must already be feature-normalized.
     """
-    p, acts = _forward(model, x)
-    n = len(y)
-    eps = 1e-12
-    loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
-    grad_w, grad_b = [], []  # filled from the last layer back
-    delta = ((p - y) / n)[:, None]  # sigmoid + BCE composite gradient
-    for k in range(len(model.weights) - 1, -1, -1):
-        grad_w.append(acts[k].T @ delta)
-        grad_b.append(delta.sum(axis=0))
-        if k > 0:
-            delta = (delta @ model.weights[k].T) * (acts[k] > 0)
-    return loss, grad_w[::-1], grad_b[::-1]
+    acts = _buffers(len(x))
+    p = _forward(model, x, acts)
+    grad_w, grad_b = _layer_views(np.empty(N_PARAMS))
+    _backward(model, x, acts, p, y, _buffers(len(x)), grad_w, grad_b)
+    return _mean_loss(_bce_terms(p, y)), grad_w, grad_b
 
 
-def _adam_update(model: DiscriminatorModel, grad: np.ndarray) -> None:
-    """One Adam step on the flat parameter vector and its moments."""
+def _adam_update(model: DiscriminatorModel, grad: np.ndarray, tmp: np.ndarray,
+                 tmp2: np.ndarray) -> None:
+    """One Adam step on the flat parameter vector and its moments, in place;
+    `tmp` and `tmp2` are N_PARAMS scratch vectors."""
     model.step_count += 1
     t = model.step_count
     corr1 = 1.0 - ADAM_BETA1 ** t
     corr2 = 1.0 - ADAM_BETA2 ** t
     m, v = model.m, model.v
     m *= ADAM_BETA1
-    m += (1 - ADAM_BETA1) * grad
+    m += np.multiply(grad, 1 - ADAM_BETA1, out=tmp)
     v *= ADAM_BETA2
-    v += (1 - ADAM_BETA2) * grad * grad
-    model.params -= ADAM_STEP * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+    np.multiply(grad, 1 - ADAM_BETA2, out=tmp)
+    v += np.multiply(tmp, grad, out=tmp)
+    # params -= ADAM_STEP * (m / corr1) / (sqrt(v / corr2) + ADAM_EPS)
+    np.divide(m, corr1, out=tmp)
+    tmp *= ADAM_STEP
+    np.divide(v, corr2, out=tmp2)
+    np.sqrt(tmp2, out=tmp2)
+    tmp2 += ADAM_EPS
+    tmp /= tmp2
+    model.params -= tmp
 
 
 def train(model: DiscriminatorModel, ga_samples: np.ndarray, ref_samples: np.ndarray,
@@ -272,22 +312,39 @@ def train(model: DiscriminatorModel, ga_samples: np.ndarray, ref_samples: np.nda
     x = (x - model.feature_stats.mean) / model.feature_stats.std
 
     saved = (model.params.copy(), model.m.copy(), model.v.copy(), model.step_count)
-    indices = list(range(len(y)))
+    n = len(y)
+    indices = list(range(n))
+    batches = [slice(lo, min(lo + BATCH_SIZE, n)) for lo in range(0, n, BATCH_SIZE)]
+    xs, ys, ps = np.empty_like(x), np.empty(n), np.empty(n)
+    acts, deltas = _buffers(BATCH_SIZE), _buffers(BATCH_SIZE)
+    grad = np.empty(N_PARAMS)
+    grad_w, grad_b = _layer_views(grad)
+    tmp, tmp2 = np.empty(N_PARAMS), np.empty(N_PARAMS)
     losses: list[float] = []
     for _ in range(epochs):
         if rng is not None:
             rng.shuffle(indices)
+        np.take(x, indices, axis=0, out=xs)
+        np.take(y, indices, out=ys)
+        for batch in batches:
+            xb, yb = xs[batch], ys[batch]
+            p = _forward(model, xb, acts)
+            ps[batch] = p
+            _backward(model, xb, acts, p, yb, deltas, grad_w, grad_b)
+            _adam_update(model, grad, tmp, tmp2)
+        # The losses are read once per epoch. A NaN probability (the only
+        # way to a non-finite loss) leaves every later step NaN too, and
+        # the check below undoes the whole call.
+        terms = _bce_terms(ps, ys)
         total = 0.0
-        for lo in range(0, len(indices), BATCH_SIZE):
-            batch = indices[lo : lo + BATCH_SIZE]
-            loss, gw, gb = loss_and_gradients(model, x[batch], y[batch])
+        for batch in batches:
+            loss = _mean_loss(terms[batch])
             if not math.isfinite(loss):
                 # in place, so the layer views keep reading the model
                 model.params[:], model.m[:], model.v[:], model.step_count = saved
                 raise NonFiniteLoss(f"loss became {loss}")
-            _adam_update(model, np.concatenate([g.ravel() for g in gw + gb]))
-            total += loss * len(batch)
-        losses.append(total / len(indices))
+            total += loss * (batch.stop - batch.start)
+        losses.append(total / n)
     return losses
 
 

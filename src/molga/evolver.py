@@ -25,7 +25,7 @@ import numpy as np
 
 from .codec import N_SYMBOLS, PHENYL_SYMBOLS, Genotype, Symbol, decode
 from .discriminator import DiscriminatorModel, featurize, init_model, predict, train
-from .graph import MolecularGraph
+from .graph import MolecularGraph, canonical_length_bounds
 from .props import PropertyRecord, penalized_logp
 from .reference import ReferenceSet
 from .schedules import BetaSchedule, next_beta
@@ -83,7 +83,8 @@ def mutate(g: Genotype, rng: random.Random, max_canonical_len: int = 81,
     The result must decode to a molecule whose canonical form fits
     max_canonical_len (and the genotype itself must fit max_genotype_len);
     up to MUTATION_RETRIES fresh draws, after which the parent is returned
-    unchanged.
+    unchanged. The canonical string is rendered only when its length
+    bounds straddle the cap.
     """
     symbols = list(g.symbols)
     for _ in range(MUTATION_RETRIES):
@@ -103,7 +104,10 @@ def mutate(g: Genotype, rng: random.Random, max_canonical_len: int = 81,
         if len(cand) > max_genotype_len:
             continue
         child = Genotype(tuple(cand))
-        if len(decode(child).canonical()) <= max_canonical_len:
+        graph = decode(child)
+        lo, hi = canonical_length_bounds(graph)
+        if hi <= max_canonical_len or (
+                lo <= max_canonical_len and len(graph.canonical()) <= max_canonical_len):
             return child
     return g
 
@@ -112,12 +116,16 @@ def mutate(g: Genotype, rng: random.Random, max_canonical_len: int = 81,
 class Individual:
     genotype: Genotype
     graph: MolecularGraph
-    canonical: str
     record: PropertyRecord
     score: float  # objective value (the J slot of the fitness)
     d: float = 0.0
     fitness: float = 0.0
     age: int = 0
+
+    @property
+    def canonical(self) -> str:
+        # rendered on first read: most children never reach the archive
+        return self.graph.canonical()
 
     @cached_property
     def features(self) -> np.ndarray:
@@ -188,7 +196,7 @@ class RunResult:
     best_trace: list[float]  # best-ever objective after each generation
     beta_trace: list[float]
     population: list[Individual]
-    snapshots: dict[int, list[tuple[str, str, float]]]  # gen -> (genotype, canonical, score)
+    snapshots: dict[int, list[tuple[str, float]]]  # gen -> (genotype, score)
     model: DiscriminatorModel | None = None
 
     @property
@@ -221,11 +229,17 @@ class Evolver:
         graph = decode(genotype)
         record = penalized_logp(graph, self.reference.prop_stats)
         score = record.j if self.objective is None else self.objective(graph, record)
-        return Individual(genotype=genotype, graph=graph, canonical=graph.canonical(),
-                          record=record, score=score)
+        return Individual(genotype=genotype, graph=graph, record=record, score=score)
 
     def _update_archive(self, individuals: list[Individual]) -> None:
+        # A full archive keeps its archive_k canonicals, each at its score
+        # or better, so an individual scoring strictly below all of them is
+        # trimmed again (or replaces nothing) and its string is never read.
+        floor = (min(e.score for e in self.archive.values())
+                 if len(self.archive) >= self.config.archive_k else -math.inf)
         for ind in individuals:
+            if ind.score < floor:
+                continue
             cur = self.archive.get(ind.canonical)
             if cur is None or ind.score > cur.score:
                 self.archive[ind.canonical] = ArchiveEntry(
@@ -344,12 +358,12 @@ def run(config: EvolverConfig, reference: ReferenceSet,
     """
     ev = Evolver(config, reference, objective)
     logs = [ev.initialize()]
-    snapshots: dict[int, list[tuple[str, str, float]]] = {}
+    snapshots: dict[int, list[tuple[str, float]]] = {}
 
     def snap() -> None:
         if config.snapshot_every and ev.generation % config.snapshot_every == 0:
             snapshots[ev.generation] = [
-                (i.genotype.text(), i.canonical, i.score) for i in ev.population
+                (i.genotype.text(), i.score) for i in ev.population
             ]
 
     snap()

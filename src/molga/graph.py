@@ -170,8 +170,7 @@ def validate(g: MolecularGraph) -> list[str]:
         if (a, b) in seen:
             problems.append(f"parallel bond between atoms {a} and {b}")
         seen.add((a, b))
-    for i, el in enumerate(g.elements):
-        total = g.bond_order_sum(i)
+    for i, (el, _, total) in enumerate(_atom_invariants(g)):
         if total > VALENCE[el]:
             problems.append(f"atom {i} ({el}) bond-order sum {total} exceeds cap {VALENCE[el]}")
     components = _components(g)
@@ -179,6 +178,17 @@ def validate(g: MolecularGraph) -> list[str]:
         missing = sorted(i for comp in components[1:] for i in comp)
         problems.append(f"disconnected atoms: {missing}")
     return problems
+
+
+def _atom_invariants(g: MolecularGraph) -> list[tuple[str, int, int]]:
+    """(element, degree, bond-order sum) of every atom. Not memoized: it is
+    cheap next to each caller, and a cached copy per graph would cost
+    about 90 bytes an atom."""
+    order_sum = [0] * len(g.elements)
+    for (a, b), o in g.bonds.items():
+        order_sum[a] += o
+        order_sum[b] += o
+    return [(el, len(nbrs), s) for el, nbrs, s in zip(g.elements, g._adj, order_sum)]
 
 
 def _proven_connected(g: MolecularGraph) -> bool:
@@ -350,10 +360,14 @@ def _minimum_cycle_basis(g: MolecularGraph) -> tuple[tuple[int, ...], ...]:
     if len(cycles) <= 1:
         # no cycle, or the graph's one cycle is its only candidate
         return tuple(_canonical_cycle(c) for c in cycles)
-    return _basis_by_elimination(g, len(cycles))
+    return _basis_by_elimination(g, cycles)
 
 
-def _basis_by_elimination(g: MolecularGraph, target_rank: int) -> tuple[tuple[int, ...], ...]:
+def _basis_by_elimination(g: MolecularGraph,
+                          fundamental: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """A minimum cycle basis from the shortest cycle through each ring bond
+    plus `fundamental`, the graph's fundamental cycles (_fundamental_cycles),
+    whose count is the basis's rank."""
     eidx = _edge_index_map(g)
     candidates: dict[int, tuple[int, ...]] = {}  # edge mask -> atom tuple
     # A shortest path between two atoms of a ring never crosses a bridge, so
@@ -371,18 +385,19 @@ def _basis_by_elimination(g: MolecularGraph, target_rank: int) -> tuple[tuple[in
         found = _shortest_cycle_mask(ring_adj, a, b, 1 << k)
         if found is not None and found[1] not in candidates:
             candidates[found[1]] = _canonical_cycle(found[0])
-    for cyc in _fundamental_cycles(g):
+    for cyc in fundamental:
         mask = _cycle_mask(cyc, eidx)
         if mask not in candidates:
             candidates[mask] = _canonical_cycle(cyc)
+
+    inv = _atom_invariants(g)
 
     def invariant_key(cycle: tuple[int, ...]):
         # labeling-independent ordering: length, then multisets of local atom
         # invariants and of the cycle's bond orders; final tie-break on the
         # canonical atom tuple (ties at the full key are near-always
         # automorphic images of each other)
-        atom_sig = tuple(sorted(
-            (g.elements[a], g.degree(a), g.bond_order_sum(a)) for a in cycle))
+        atom_sig = tuple(sorted(inv[a] for a in cycle))
         k = len(cycle)
         bond_sig = tuple(sorted(
             g.bonds[(cycle[i], cycle[(i + 1) % k]) if cycle[i] < cycle[(i + 1) % k]
@@ -402,7 +417,7 @@ def _basis_by_elimination(g: MolecularGraph, target_rank: int) -> tuple[tuple[in
             pivots.append(reduced)
             pivots.sort(key=lambda m: -(m & -m))
             basis.append(cyc)
-            if len(basis) == target_rank:
+            if len(basis) == len(fundamental):
                 break
     return tuple(basis)
 
@@ -421,14 +436,8 @@ def _refined_ranks(g: MolecularGraph) -> list[int]:
     n = g.n_atoms
     adj = g._adj
     ring = g.ring_atoms()
-    order_sum = [0] * n
-    for (a, b), o in g.bonds.items():
-        order_sum[a] += o
-        order_sum[b] += o
-    sig: list = [
-        (g.elements[i], len(adj[i]), order_sum[i], i in ring)
-        for i in range(n)
-    ]
+    sig: list = [(el, deg, osum, i in ring)
+                 for i, (el, deg, osum) in enumerate(_atom_invariants(g))]
     ranks = _ranks_from_signatures(sig)
     n_classes = len(set(ranks))
     for _ in range(n):
@@ -897,9 +906,8 @@ _ELEMENT_CODE = {el: k for k, el in enumerate(ELEMENTS)}
 def _fingerprint(g: MolecularGraph, radius: int, nbits: int) -> Fingerprint:
     ring = g.ring_atoms()
     inv = [
-        _hash_ints((_ELEMENT_CODE[g.elements[i]], g.degree(i),
-                    g.implicit_hydrogens(i), 1 if i in ring else 0))
-        for i in range(g.n_atoms)
+        _hash_ints((_ELEMENT_CODE[el], deg, max(VALENCE[el] - osum, 0), 1 if i in ring else 0))
+        for i, (el, deg, osum) in enumerate(_atom_invariants(g))
     ]
     bits: set[int] = {h % nbits for h in inv}
     for _ in range(radius):

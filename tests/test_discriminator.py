@@ -315,3 +315,10 @@ class TestInit:
         m2 = init_model(random.Random(42))
         for w1, w2 in zip(m1.weights, m2.weights):
             assert np.array_equal(w1, w2)
+
+    def test_models_compare_by_identity(self):
+        # a field-wise == would compare the numpy vectors and raise
+        m1 = init_model(random.Random(0))
+        m2 = init_model(random.Random(0))
+        assert m1 == m1
+        assert m1 != m2

@@ -46,9 +46,9 @@ class TestEndToEndRecovery:
         post_gen = min(g for g in result.snapshots if g >= first + 10)
 
         def top50(gen):
-            rows = sorted(result.snapshots[gen], key=lambda r: -r[2])[:50]
+            rows = sorted(result.snapshots[gen], key=lambda r: -r[1])[:50]
             return [decode(parse_genotype(gt)).fingerprint().to_array()
-                    for gt, _, _ in rows]
+                    for gt, _ in rows]
 
         pts = np.stack(top50(pre_gen) + top50(post_gen))
         out = kmeans(pts, k=20, seed=0)
