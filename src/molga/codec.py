@@ -185,11 +185,12 @@ def decode(g: Genotype) -> MolecularGraph:
 # The structure cache: (elements, bond tuple) -> the graph with exactly that
 # labelling, oldest use first. A hit moves its entry to the end; a miss on a
 # full cache drops the first. An entry keeps a graph alive with everything
-# memoized on it: 3.4 KB on the benchmark's random_scan, 9.1 KB on ga_b10 and
-# 11.8 KB on constrained_batch (tracemalloc, seed 7), so at most about 18 MB.
+# memoized on it: 1.1 KB on the benchmark's random_scan, 2.3 KB on ga_b10 and
+# 6.4 KB on constrained_batch (tracemalloc, seed 7; structure tuples are
+# shared between graphs, see graph._shared), so at most about 10 MB.
 # The size trades memory for repeat work: at 1,024 / 1,536 / 2,048 entries
-# and seed 7, random_scan canonicalizes 7,747 / 7,376 / 7,172 graphs and
-# constrained_batch peaks at 57 / 63 / 68 MB resident.
+# and seed 7, random_scan builds 7,747 / 7,376 / 7,172 graphs and
+# constrained_batch peaks at 46 / 49 / 52 MB resident.
 _GRAPH_CACHE_SIZE = 1536
 _graphs: dict[tuple, MolecularGraph] = {}
 

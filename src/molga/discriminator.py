@@ -62,7 +62,8 @@ def _max_chain_length(g: MolecularGraph) -> int:
     either way.
     """
     n = g.n_atoms
-    adj = g.int_adjacency()
+    # built here, not kept: features are memoized, so this runs once per graph
+    adj = [[v for v, _ in g.neighbors(i)] for i in range(n)]
     lev0 = _bfs_levels(adj, 0)
     a = lev0.index(max(lev0))
     lev_a = _bfs_levels(adj, a)

@@ -26,6 +26,23 @@ VALENCE: dict[str, int] = {"C": 4, "N": 3, "O": 2, "S": 2, "P": 3, "F": 1}
 ELEMENTS: tuple[str, ...] = ("C", "N", "O", "S", "P", "F")
 
 
+# Shared structure tuples (hash-consing: Filliatre & Conchon 2006). Every
+# bond triple (a, b, order), bond key (a, b), adjacency pair (neighbor,
+# order) and per-atom adjacency row a graph is built from is looked up here
+# first, so equal tuples are one object across all graphs: thousands of
+# graphs live at once (a population, the archive, the reference, the
+# structure cache), and most of their atoms look alike. The tuples are
+# immutable and equal, so a graph gives the same values either way. The
+# table is cleared when a graph leaves it above _SHARED_SIZE entries; graphs
+# keep their tuples, and later graphs start sharing anew. Full, its dict
+# takes 1.3 MB and each tuple at most 72 bytes (a row of four pairs), so
+# about 4 MB in all. At seed 7 the benchmark's ga_b10, constrained_batch
+# and random_scan end with 2,757 / 3,342 / 2,839 entries (about 0.3 MB),
+# and a 60-generation paper config with 5,372.
+_SHARED_SIZE = 1 << 15
+_shared: dict[tuple, tuple] = {}
+
+
 class UnsupportedFeature(MolgaError):
     """SMILES feature outside the supported subset (charges, stereo, ...)."""
 
@@ -57,7 +74,8 @@ class MolecularGraph:
     with order in {1, 2, 3}. The constructor accepts structurally bad input
     (duplicate bonds, over-valent atoms, disconnected fragments) so that
     validate() can report the violations; self-loops and out-of-range
-    indices are rejected outright.
+    indices are rejected outright. The bond and adjacency tuples come from
+    the process-wide `_shared` table, so equal ones are one object.
     """
 
     __slots__ = ("elements", "bond_list", "bonds", "_adj", "_cache")
@@ -70,26 +88,44 @@ class MolecularGraph:
         for el in self.elements:
             if el not in VALENCE:
                 raise ValueError(f"unknown element {el!r}")
+        share = _shared.setdefault
         norm = []
+        bond_map: dict[tuple[int, int], int] = {}
         for i, j, order in bonds:
+            if not (type(i) is type(j) is type(order) is int):
+                # a shared tuple goes to later graphs: an equal bool or numpy int must not
+                raise TypeError(f"bond ({i!r},{j!r},{order!r}) needs int atoms and order")
             if i == j:
                 raise ValueError(f"self-loop on atom {i}")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bond ({i},{j}) out of range")
             if order not in (1, 2, 3):
                 raise ValueError(f"bond order {order} not in 1..3")
-            a, b = (i, j) if i < j else (j, i)
-            norm.append((a, b, order))
+            if i < j:
+                t = (i, j, order)
+                key = (i, j)
+            else:
+                t = (j, i, order)
+                key = (j, i)
+            norm.append(share(t, t))
+            bond_map[share(key, key)] = order
         self.bond_list: tuple[tuple[int, int, int], ...] = tuple(norm)
-        self.bonds: dict[tuple[int, int], int] = {(a, b): o for a, b, o in norm}
+        self.bonds: dict[tuple[int, int], int] = bond_map
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (a, b), o in self.bonds.items():
-            adj[a].append((b, o))
-            adj[b].append((a, o))
+        for (a, b), o in bond_map.items():
+            pair = (b, o)
+            adj[a].append(share(pair, pair))
+            pair = (a, o)
+            adj[b].append(share(pair, pair))
+        rows = []
         for lst in adj:
             lst.sort()
-        self._adj: tuple[tuple[tuple[int, int], ...], ...] = tuple(tuple(l) for l in adj)
+            row = tuple(lst)
+            rows.append(share(row, row))
+        self._adj: tuple[tuple[tuple[int, int], ...], ...] = tuple(rows)
         self._cache: dict = {}
+        if len(_shared) > _SHARED_SIZE:
+            _shared.clear()
 
     @property
     def n_atoms(self) -> int:
@@ -105,21 +141,12 @@ class MolecularGraph:
     def bond_order_sum(self, i: int) -> int:
         return sum(o for _, o in self._adj[i])
 
-    def implicit_hydrogens(self, i: int) -> int:
-        return max(VALENCE[self.elements[i]] - self.bond_order_sum(i), 0)
-
     def bond_order(self, i: int, j: int) -> int | None:
         a, b = (i, j) if i < j else (j, i)
         return self.bonds.get((a, b))
 
     def __repr__(self) -> str:
         return f"MolecularGraph({len(self.elements)} atoms, {len(self.bonds)} bonds)"
-
-    def int_adjacency(self) -> list[list[int]]:
-        """Neighbor indices only (no orders); cached."""
-        if "int_adj" not in self._cache:
-            self._cache["int_adj"] = [[v for v, _ in nbrs] for nbrs in self._adj]
-        return self._cache["int_adj"]
 
     # Derived data is memoized on the instance; graphs are never mutated.
     def ring_basis(self) -> tuple[tuple[int, ...], ...]:
@@ -355,6 +382,10 @@ def _fundamental_cycles(g: MolecularGraph) -> list[list[int]]:
 
 
 def _minimum_cycle_basis(g: MolecularGraph) -> tuple[tuple[int, ...], ...]:
+    # cycle rank m - n + c: zero for a forest, which needs no DFS
+    c = 1 if _proven_connected(g) else len(_components(g))
+    if len(g.bonds) - g.n_atoms + c == 0:
+        return ()
     # a spanning forest leaves out one bond per independent cycle
     cycles = _fundamental_cycles(g)
     if len(cycles) <= 1:

@@ -89,6 +89,11 @@ class TestMaxChainLength:
         for g in bundled_reference.graphs:
             self.assert_exact(g)
 
+    def test_keeps_no_adjacency_copy(self):
+        g = parse_smiles("CCC1CCCCCCC1")
+        self.assert_exact(g)
+        assert g._cache == {}
+
 
 class TestPredict:
     def test_zero_parameters_give_half(self):

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from molga.codec import decode, random_genotype
+from molga import cli, codec, graph
+from molga.codec import PHENYL_SYMBOLS, Genotype, decode, random_genotype
+from molga.discriminator import featurize
 from molga.graph import (
     Fingerprint,
     KekulizationFailure,
@@ -24,6 +26,7 @@ from molga.graph import (
     tanimoto,
     validate,
 )
+from molga.props import penalized_logp
 
 from helpers import brute_force_isomorphic, enumerate_simple_cycles
 
@@ -83,6 +86,24 @@ class TestRings:
         for _ in range(500):
             mol = decode(random_genotype(rng, 50))
             assert len(list(mol.ring_basis())) == len(mol.bonds) - mol.n_atoms + 1
+
+    def test_forest_needs_no_cycle_search(self, monkeypatch):
+        def no_search(g):
+            raise AssertionError("a forest has no cycle to search for")
+
+        monkeypatch.setattr(graph, "_fundamental_cycles", no_search)
+        rng = random.Random(8)
+        trees = 0
+        for _ in range(300):
+            mol = decode(random_genotype(rng, 40))
+            if len(mol.bonds) == mol.n_atoms - 1:
+                trees += 1
+                assert _minimum_cycle_basis(mol) == ()
+        assert trees > 200
+        # two chains; a chain numbered so that connectivity needs a search
+        for mol in (MolecularGraph(["C"] * 4, [(0, 1, 1), (2, 3, 1)]),
+                    MolecularGraph(["C"] * 3, [(0, 2, 1), (1, 2, 1)])):
+            assert _minimum_cycle_basis(mol) == ()
 
     def test_spiro_shares_one_atom(self):
         # two triangles sharing one atom
@@ -555,3 +576,112 @@ class TestTanimoto:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             tanimoto(Fingerprint(1024, frozenset()), Fingerprint(512, frozenset()))
+
+
+class _Unshared(dict):
+    """A table that keeps nothing: a graph built under it gets tuples of
+    its own."""
+
+    def setdefault(self, key, default=None):
+        return default
+
+
+def unshared_copy(mol: MolecularGraph) -> MolecularGraph:
+    """`mol` rebuilt with freshly allocated tuples, none from the table."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(graph, "_shared", _Unshared())
+        return MolecularGraph(mol.elements, mol.bond_list)
+
+
+def ring_rich_genotype(rng: random.Random) -> Genotype:
+    """A random genotype with one to three phenyl blocks spliced in, as the
+    phenyl mutation does."""
+    symbols = list(random_genotype(rng, 30).symbols)
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randint(0, len(symbols))
+        symbols[pos:pos] = PHENYL_SYMBOLS
+    return Genotype(tuple(symbols))
+
+
+def structure_values(mol: MolecularGraph, stats) -> tuple:
+    return (mol.canonical(), mol.ring_basis(), penalized_logp(mol, stats),
+            tuple(featurize(mol)), mol.fingerprint())
+
+
+class TestSharedTuples:
+    def test_equal_tuples_are_one_object(self):
+        a = MolecularGraph(["C", "C", "O"], [(0, 1, 1), (1, 2, 2)])
+        b = MolecularGraph(["N", "C", "C", "F"], [(1, 0, 1), (2, 1, 2), (3, 0, 1)])
+        assert a.bond_list[0] is b.bond_list[0]  # (0, 1, 1)
+        assert a.bond_list[1] is b.bond_list[1]  # (1, 2, 2)
+        key_a, key_b = next(iter(a.bonds)), next(iter(b.bonds))
+        assert key_a == (0, 1) and key_a is key_b
+        assert a.neighbors(1) == ((0, 1), (2, 2))
+        assert a.neighbors(1) is b.neighbors(1)  # a whole row
+        assert a.neighbors(2)[0] is b.neighbors(2)[0]  # (1, 2)
+        assert a.neighbors(0) != b.neighbors(0)
+
+    def test_unshared_copy_has_tuples_of_its_own(self):
+        mol = parse_smiles("CC(=O)C1CCCCC1")
+        fresh = unshared_copy(mol)
+        assert fresh.bond_list == mol.bond_list
+        assert fresh.bonds == mol.bonds
+        assert fresh._adj == mol._adj
+        assert not any(x is y for x, y in zip(fresh.bond_list, mol.bond_list))
+        assert not any(x is y for x, y in zip(fresh.bonds, mol.bonds))
+        assert not any(x is y for x, y in zip(fresh._adj, mol._adj))
+
+    def test_shared_and_fresh_graphs_agree_on_the_reference(self, bundled_reference):
+        stats = bundled_reference.prop_stats
+        for mol in bundled_reference.graphs:
+            shared = MolecularGraph(mol.elements, mol.bond_list)
+            assert structure_values(shared, stats) == structure_values(unshared_copy(mol), stats)
+
+    def test_shared_and_fresh_graphs_agree_on_random_decodes(self, bundled_reference):
+        stats = bundled_reference.prop_stats
+        rng = random.Random(13)
+        genotypes = [random_genotype(rng, 40) for _ in range(3000)]
+        genotypes += [ring_rich_genotype(rng) for _ in range(2000)]
+        multi_ring = 0
+        for gt in genotypes:
+            mol = decode(gt)
+            assert structure_values(mol, stats) == structure_values(unshared_copy(mol), stats)
+            multi_ring += len(mol.ring_basis()) > 1
+        assert multi_ring > 500
+
+    def test_table_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(graph, "_SHARED_SIZE", 64)
+        monkeypatch.setattr(graph, "_shared", {})
+        rng = random.Random(3)
+        sizes = []
+        for _ in range(2000):
+            mol = decode(random_genotype(rng, 40))
+            MolecularGraph(mol.elements, mol.bond_list)
+            sizes.append(len(graph._shared))
+        assert max(sizes) <= 64
+        assert sum(b < a for a, b in zip(sizes, sizes[1:])) > 10  # cleared often
+
+    def test_clearing_mid_run_changes_no_output(self, monkeypatch):
+        class CountingTable(dict):
+            clears = 0
+
+            def clear(self):
+                CountingTable.clears += 1
+                super().clear()
+
+        config = cli.parse_config({"task": "unconstrained", "population_size": 60,
+                                   "generations": 6, "beta": 10.0, "seed": 4, "threads": 1})
+        monkeypatch.setattr(codec, "_graphs", {})
+        expected = cli.determinism_hash(cli.run_task(config, None))
+        monkeypatch.setattr(codec, "_graphs", {})  # build every graph again
+        monkeypatch.setattr(graph, "_SHARED_SIZE", 200)
+        monkeypatch.setattr(graph, "_shared", CountingTable())
+        assert cli.determinism_hash(cli.run_task(config, None)) == expected
+        assert CountingTable.clears > 5
+
+    def test_bool_or_numpy_bond_values_are_rejected(self):
+        np = pytest.importorskip("numpy")
+        for bond in [(0, 1, True), (np.int64(0), 1, 1), (0, 1, 1.0)]:
+            with pytest.raises(TypeError):
+                MolecularGraph(["C", "C"], [bond])
+        assert MolecularGraph(["C", "C"], [(0, 1, 1)]).bond_list == ((0, 1, 1),)
