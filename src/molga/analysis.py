@@ -270,9 +270,8 @@ def snapshot_report(snapshots: dict[int, list[tuple[str, float, Fingerprint]]],
     out: list[SnapshotRow] = []
     base = 0
     for gen, rows in sorted(selected.items()):
-        fps = [fp for (_, _, fp) in rows]
-        k_eff = min(n_clusters, len(fps))
-        assign = kmeans(np.stack([fp.to_array() for fp in fps]), k=k_eff, seed=seed)
+        k_eff = min(n_clusters, len(rows))
+        assign = kmeans(mat[base:base + len(rows)], k=k_eff, seed=seed)
         for i, (canon, score, _) in enumerate(rows):
             out.append(SnapshotRow(
                 generation=gen, canonical=canon, score=score,

@@ -10,7 +10,6 @@ the timing-stripped report) makes reproducibility checkable.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -22,10 +21,18 @@ from .codec import decode, encode, parse_genotype
 from .discriminator import save_checkpoint
 from .errors import MolgaError
 from .evolver import EvolverConfig, GenerationLog, RunResult, run
-from .graph import fingerprint, parse_smiles
+from .graph import parse_smiles
 from .props import penalized_logp
 from .reference import ReferenceSet, load_reference, synthetic_reference
 from .schedules import BetaSchedule
+
+try:  # hashlib loads OpenSSL, about 3.5 MB resident; the builtin module does not
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class ConfigError(MolgaError):
@@ -186,7 +193,7 @@ def determinism_hash(report: dict) -> str:
         stripped["reference"] = {k: v for k, v in stripped["reference"].items()
                                  if k != "path"}
     blob = json.dumps(stripped, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256(blob.encode()).hexdigest()
 
 
 def _load_initial_population(path: str, population_size: int):
@@ -472,7 +479,7 @@ def _cmd_analyze(args) -> int:
                 genotype = parse_genotype(line.strip())
                 graph = decode(genotype)
                 rec = penalized_logp(graph, ref.prop_stats)
-                rows.append((graph.canonical(), rec.j, fingerprint(graph)))
+                rows.append((graph.canonical(), rec.j, graph.fingerprint()))
         snapshots[gen] = rows
     rows = analysis.snapshot_report(snapshots, seed=config["seed"])
     out_dir = os.path.join(args.run_dir, "analysis")

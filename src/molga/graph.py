@@ -42,6 +42,9 @@ ELEMENTS: tuple[str, ...] = ("C", "N", "O", "S", "P", "F")
 _SHARED_SIZE = 1 << 15
 _shared: dict[tuple, tuple] = {}
 
+# Memo key of the default fingerprint, one object for every graph.
+_FP_KEY = ("fp", 2, 1024)
+
 
 class UnsupportedFeature(MolgaError):
     """SMILES feature outside the supported subset (charges, stereo, ...)."""
@@ -155,12 +158,9 @@ class MolecularGraph:
         return self._cache["rings"]
 
     def ring_atoms(self) -> frozenset[int]:
-        if "ring_atoms" not in self._cache:
-            atoms: set[int] = set()
-            for cyc in self.ring_basis():
-                atoms.update(cyc)
-            self._cache["ring_atoms"] = frozenset(atoms)
-        return self._cache["ring_atoms"]
+        # Not memoized: its readers, the refined ranks and the fingerprint,
+        # are, so it runs at most twice per graph.
+        return frozenset(chain.from_iterable(self.ring_basis()))
 
     def canonical(self) -> str:
         if "canonical" not in self._cache:
@@ -174,7 +174,7 @@ class MolecularGraph:
         return self._cache[key]
 
     def fingerprint(self, radius: int = 2, nbits: int = 1024) -> "Fingerprint":
-        key = ("fp", radius, nbits)
+        key = _FP_KEY if radius == 2 and nbits == 1024 else ("fp", radius, nbits)
         if key not in self._cache:
             self._cache[key] = _fingerprint(self, radius, nbits)
         return self._cache[key]
@@ -917,18 +917,17 @@ def _hash_ints(values: Iterable[int]) -> int:
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Folded circular fingerprint: the set of on bits in an nbits vector."""
+    """Folded circular fingerprint of nbits bits: bit k of `bits` is on
+    when index k is."""
 
     nbits: int
-    bits: frozenset[int]
+    bits: int
 
     def to_array(self):
         import numpy as np
 
-        arr = np.zeros(self.nbits, dtype=np.float64)
-        if self.bits:
-            arr[sorted(self.bits)] = 1.0
-        return arr
+        raw = np.frombuffer(self.bits.to_bytes((self.nbits + 7) // 8, "little"), np.uint8)
+        return np.unpackbits(raw, count=self.nbits, bitorder="little").astype(np.float64)
 
 
 _ELEMENT_CODE = {el: k for k, el in enumerate(ELEMENTS)}
@@ -940,14 +939,23 @@ def _fingerprint(g: MolecularGraph, radius: int, nbits: int) -> Fingerprint:
         _hash_ints((_ELEMENT_CODE[el], deg, max(VALENCE[el] - osum, 0), 1 if i in ring else 0))
         for i, (el, deg, osum) in enumerate(_atom_invariants(g))
     ]
-    bits: set[int] = {h % nbits for h in inv}
+    bits = 0
+    for h in inv:
+        bits |= 1 << (h % nbits)
     for _ in range(radius):
         # an atom's invariant, then its (bond order, neighbor invariant) pairs in order
-        inv = [_hash_ints((inv[i], *chain.from_iterable(
-                   sorted((o, inv[v]) for v, o in g.neighbors(i)))))
-               for i in range(g.n_atoms)]
-        bits.update(h % nbits for h in inv)
-    return Fingerprint(nbits, frozenset(bits))
+        new = []
+        for i, row in enumerate(g._adj):
+            if len(row) == 1:
+                (v, o), = row
+                key = (inv[i], o, inv[v])
+            else:
+                key = (inv[i], *chain.from_iterable(sorted((o, inv[v]) for v, o in row)))
+            h = _hash_ints(key)
+            new.append(h)
+            bits |= 1 << (h % nbits)
+        inv = new
+    return Fingerprint(nbits, bits)
 
 
 def fingerprint(g: MolecularGraph, radius: int = 2, nbits: int = 1024) -> Fingerprint:
@@ -956,11 +964,10 @@ def fingerprint(g: MolecularGraph, radius: int = 2, nbits: int = 1024) -> Finger
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
-    """Bit-set intersection over union; 1.0 when both sets are empty."""
+    """On-bit intersection over union; 1.0 when both are empty."""
     if a.nbits != b.nbits:
         raise ValueError(f"fingerprint sizes differ: {a.nbits} vs {b.nbits}")
-    if not a.bits and not b.bits:
+    union = (a.bits | b.bits).bit_count()
+    if not union:
         return 1.0
-    inter = len(a.bits & b.bits)
-    union = len(a.bits | b.bits)
-    return inter / union
+    return (a.bits & b.bits).bit_count() / union

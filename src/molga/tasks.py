@@ -16,7 +16,8 @@ from .codec import (
     Genotype, UnencodableGraph, decode, encode, parse_genotype, random_genotype,
 )
 from .evolver import EvolverConfig, RunResult, run
-from .graph import MolecularGraph, canonical_length_bounds, fingerprint, tanimoto
+from .graph import MolecularGraph, canonical_length_bounds, tanimoto
+from .graph import fingerprint  # noqa: F401 (bench/tests reads tasks.fingerprint)
 from .props import PropertyRecord, penalized_logp
 from .reference import ReferenceSet
 from .schedules import BetaSchedule
@@ -97,10 +98,10 @@ def run_constrained(reference_graph: MolecularGraph, ref: ReferenceSet,
     except UnencodableGraph as exc:
         out.error = str(exc)
         return out
-    ref_fp = fingerprint(reference_graph)
+    ref_fp = reference_graph.fingerprint()
 
     def objective(graph: MolecularGraph, record: PropertyRecord) -> float:
-        return constrained_fitness(record.j, tanimoto(fingerprint(graph), ref_fp), delta)
+        return constrained_fitness(record.j, tanimoto(graph.fingerprint(), ref_fp), delta)
 
     config = _without_discriminator(
         config, initial_genotypes=[seed_genotype] * config.population_size)
@@ -111,7 +112,7 @@ def run_constrained(reference_graph: MolecularGraph, ref: ReferenceSet,
         # decode() may return a cached graph that carries the fingerprint
         # the objective memoized; a new graph recomputes it
         graph = decode(parse_genotype(entry.genotype_text))
-        sim = tanimoto(fingerprint(MolecularGraph(graph.elements, graph.bond_list)), ref_fp)
+        sim = tanimoto(MolecularGraph(graph.elements, graph.bond_list).fingerprint(), ref_fp)
         if sim > delta:
             j = penalized_logp(graph, ref.prop_stats).j
             if best is None or j > best[0]:

@@ -140,8 +140,8 @@ class TestDiversity:
         assert report.n_clusters == 1
 
     def test_two_families(self):
-        a = Fingerprint(1024, frozenset(range(0, 40)))
-        b = Fingerprint(1024, frozenset(range(500, 540)))
+        a = Fingerprint(1024, (1 << 40) - 1)  # bits 0-39
+        b = Fingerprint(1024, ((1 << 40) - 1) << 500)  # bits 500-539
         report = diversity([a] * 5 + [b] * 5, k=2)
         assert report.mean_pairwise_tanimoto < 1.0
 
@@ -166,7 +166,7 @@ class TestDiversity:
 
     def test_needs_two(self):
         with pytest.raises(ValueError):
-            mean_pairwise_tanimoto([Fingerprint(1024, frozenset())])
+            mean_pairwise_tanimoto([Fingerprint(1024, 0)])
 
 
 def _exact_mean(fps):

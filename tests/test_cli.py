@@ -1,9 +1,13 @@
 import hashlib
 import json
 import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+from molga import cli
 from molga.cli import (
     ConfigError,
     bundled_reference_path,
@@ -187,6 +191,31 @@ class TestDeterminismHash:
         a, b = reports
         assert a["reference"]["path"] != b["reference"]["path"]  # still recorded
         assert a["determinism_hash"] == b["determinism_hash"]
+
+
+class TestSha256:
+    def test_digest_matches_hashlib(self):
+        rng = random.Random(5)
+        blobs = [b"", b"abc", b"\x00" * 64, json.dumps({"result": [1, 2]}).encode(),
+                 bytes(rng.getrandbits(8) for _ in range(100_003))]
+        for blob in blobs:
+            assert cli.sha256(blob).hexdigest() == hashlib.sha256(blob).hexdigest()
+
+    def test_a_run_does_not_load_openssl(self):
+        script = (
+            "import sys\n"
+            "from molga.cli import parse_config, run_task\n"
+            "report = run_task(parse_config({'task': 'constrained_similarity', "
+            "'reference': {'synthetic': 150}, 'population_size': 10, 'generations': 2, "
+            "'seed': 3, 'constrained': {'reference_smiles': 'CCOc1ccccc1'}}), None)\n"
+            "assert len(report['determinism_hash']) == 64\n"
+            "print('_hashlib' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
 
 
 def _run_cli(args, capsys):

@@ -84,12 +84,13 @@ class TestRunConstrained:
         # decode() returns the memoized graph with the fingerprint the
         # objective cached on it; re-verifying on that graph checks nothing
         archive, verified_on = [], []
+        original_fingerprint = MolecularGraph.fingerprint
 
         def run_then_watch(*args, **kwargs):
             result = run(*args, **kwargs)
             archive.extend(result.archive)
-            monkeypatch.setattr(tasks, "fingerprint",
-                                lambda g: verified_on.append(g) or fingerprint(g))
+            monkeypatch.setattr(MolecularGraph, "fingerprint",
+                                lambda g: verified_on.append(g) or original_fingerprint(g))
             return result
 
         monkeypatch.setattr(tasks, "run", run_then_watch)
