@@ -944,17 +944,10 @@ def _fingerprint(g: MolecularGraph, radius: int, nbits: int) -> Fingerprint:
         bits |= 1 << (h % nbits)
     for _ in range(radius):
         # an atom's invariant, then its (bond order, neighbor invariant) pairs in order
-        new = []
-        for i, row in enumerate(g._adj):
-            if len(row) == 1:
-                (v, o), = row
-                key = (inv[i], o, inv[v])
-            else:
-                key = (inv[i], *chain.from_iterable(sorted((o, inv[v]) for v, o in row)))
-            h = _hash_ints(key)
-            new.append(h)
+        inv = [_hash_ints((inv[i], *chain.from_iterable(sorted((o, inv[v]) for v, o in row))))
+               for i, row in enumerate(g._adj)]
+        for h in inv:
             bits |= 1 << (h % nbits)
-        inv = new
     return Fingerprint(nbits, bits)
 
 
