@@ -1,9 +1,9 @@
 """Robust string-grammar genotype codec.
 
-A genotype is a sequence of 16 grammar symbols. decode() is total: every
-symbol string derives a connected, valence-valid molecular graph, which is
-what lets the GA mutate strings blindly. encode() inverts it for seeding
-runs from existing molecules.
+A genotype is a string of grammar symbols, one byte per symbol index 0-15.
+decode() is total: every symbol string derives a connected, valence-valid
+molecular graph, which is what lets the GA mutate strings blindly. encode()
+inverts it for seeding runs from existing molecules.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import enum
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import MolgaError
 from .graph import VALENCE, MolecularGraph
@@ -32,8 +31,8 @@ class GenotypeSyntaxError(MolgaError):
 
 
 class Symbol(enum.IntEnum):
-    """The 16-symbol alphabet; index order is load-bearing (Branch/Ring
-    operands are read as symbol indices)."""
+    """Names of the 16 symbol indices; index order is load-bearing
+    (Branch/Ring operands are read as symbol indices)."""
 
     C = 0
     EQ_C = 1
@@ -58,7 +57,7 @@ SYMBOL_TEXT: tuple[str, ...] = (
     "[S]", "[=S]", "[P]", "[F]", "[Branch1]", "[Branch2]", "[Ring1]", "[Ring2]",
 )
 
-_TEXT_TO_SYMBOL = {t: Symbol(i) for i, t in enumerate(SYMBOL_TEXT)}
+_TEXT_TO_SYMBOL = {t: i for i, t in enumerate(SYMBOL_TEXT)}
 
 # atom symbols carry (element, requested bond order)
 ATOM_INFO: dict[Symbol, tuple[str, int]] = {
@@ -70,24 +69,32 @@ ATOM_INFO: dict[Symbol, tuple[str, int]] = {
 }
 
 N_SYMBOLS = 16
-_SYMBOLS: tuple[Symbol, ...] = tuple(Symbol)
 
 # spliced by the phenyl mutation; decodes on its own to a Kekulé 6-ring
-PHENYL_SYMBOLS: tuple[Symbol, ...] = (
+PHENYL_SYMBOLS = bytes((
     Symbol.C, Symbol.EQ_C, Symbol.C, Symbol.EQ_C, Symbol.C, Symbol.EQ_C,
     Symbol.RING1, Symbol.N,
-)
+))
 
 
 @dataclass(frozen=True)
 class Genotype:
-    """Non-empty symbol sequence; the GA's unit of mutation."""
+    """Non-empty symbol string, one byte per symbol index; the GA's unit of
+    mutation. Any other sequence of ints is converted to bytes."""
 
-    symbols: tuple[Symbol, ...]
+    symbols: bytes
 
     def __post_init__(self):
-        if not self.symbols:
+        symbols = self.symbols
+        if type(symbols) is not bytes:
+            if isinstance(symbols, int):
+                raise TypeError("genotype symbols must be a sequence of ints")
+            symbols = bytes(symbols)  # ValueError outside 0..255
+            object.__setattr__(self, "symbols", symbols)
+        if not symbols:
             raise ValueError("genotype must contain at least one symbol")
+        if max(symbols) >= N_SYMBOLS:
+            raise ValueError(f"symbol index {max(symbols)} outside 0..{N_SYMBOLS - 1}")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -101,12 +108,18 @@ class Genotype:
     def __str__(self) -> str:
         return self.text()
 
-    @cached_property
+    @property
     def graph(self) -> MolecularGraph:
-        # a pure function of the symbols, kept on the instance (not a field,
-        # so equality and hashing ignore it): a child that mutation has
-        # decoded is not derived again when it is evaluated
-        return _derive_graph(self.symbols)
+        # a pure function of the symbols, kept in the instance dict (not a
+        # field, so equality and hashing ignore it): a child that mutation
+        # has decoded is not derived again when it is evaluated. A plain
+        # property, since functools.cached_property takes a lock on every
+        # first read on Python 3.11.
+        d = self.__dict__
+        g = d.get("_graph")
+        if g is None:
+            g = d["_graph"] = _derive_graph(self.symbols)
+        return g
 
 
 _TOKEN_RE = re.compile(r"\[[^\[\]]*\]")
@@ -115,7 +128,7 @@ _TOKEN_RE = re.compile(r"\[[^\[\]]*\]")
 def parse_genotype(text: str) -> Genotype:
     """Parse concatenated bracketed symbols; unknown tokens and stray text
     are rejected with their byte offset."""
-    symbols: list[Symbol] = []
+    symbols: list[int] = []
     pos = 0
     while pos < len(text):
         if text[pos] != "[":
@@ -131,36 +144,12 @@ def parse_genotype(text: str) -> Genotype:
         pos = m.end()
     if not symbols:
         raise GenotypeSyntaxError("empty genotype", 0)
-    return Genotype(tuple(symbols))
+    return Genotype(bytes(symbols))
 
 
 # ---------------------------------------------------------------------------
 # Decoding
 # ---------------------------------------------------------------------------
-
-
-class _Builder:
-    __slots__ = ("elements", "bonds", "free")
-
-    def __init__(self):
-        self.elements: list[str] = []
-        self.bonds: dict[tuple[int, int], int] = {}
-        self.free: list[int] = []
-
-    def place(self, element: str) -> int:
-        self.elements.append(element)
-        self.free.append(VALENCE[element])
-        return len(self.elements) - 1
-
-    def bond(self, a: int, b: int, order: int) -> None:
-        key = (a, b) if a < b else (b, a)
-        self.bonds[key] = order
-        self.free[a] -= order
-        self.free[b] -= order
-
-    def has_bond(self, a: int, b: int) -> bool:
-        key = (a, b) if a < b else (b, a)
-        return key in self.bonds
 
 
 def decode(g: Genotype) -> MolecularGraph:
@@ -195,11 +184,10 @@ _GRAPH_CACHE_SIZE = 1536
 _graphs: dict[tuple, MolecularGraph] = {}
 
 
-def _derive_graph(symbols: tuple[Symbol, ...]) -> MolecularGraph:
-    b = _Builder()
-    _derive(b, list(symbols), None)
-    if b.elements:
-        key = (tuple(b.elements), tuple((i, j, o) for (i, j), o in b.bonds.items()))
+def _derive_graph(symbols: bytes) -> MolecularGraph:
+    elements, bonds = _derive(symbols)
+    if elements:
+        key = (tuple(elements), tuple(bonds.values()))
     else:
         key = (("C",), ())  # methane
     g = _graphs.pop(key, None)
@@ -212,58 +200,96 @@ def _derive_graph(symbols: tuple[Symbol, ...]) -> MolecularGraph:
     return g
 
 
-def _derive(b: _Builder, window: list[Symbol], root: int | None) -> None:
-    current = root
-    i = 0
-    n = len(window)
-    while i < n:
-        sym = window[i]
-        if sym in ATOM_INFO:
-            element, want = ATOM_INFO[sym]
-            if current is None:
-                current = b.place(element)
+# Decode tables indexed by atom symbol: element, requested bond order (never
+# above the element's valence) and valence cap. Indices from Symbol.BRANCH1
+# up are control symbols.
+_ELEMENT = [ATOM_INFO[s][0] for s in range(Symbol.BRANCH1)]
+_ORDER = [min(ATOM_INFO[s][1], VALENCE[ATOM_INFO[s][0]]) for s in range(Symbol.BRANCH1)]
+_CAP = [VALENCE[el] for el in _ELEMENT]
+
+
+def _derive(symbols: bytes) -> tuple[list[str], dict[tuple[int, int], tuple[int, int, int]]]:
+    """Atoms in placement order, and bonds {(i, j): (i, j, order)}, i < j,
+    in the order they were made.
+
+    A window is the whole string or a branch body, derived from the atom
+    the branch hangs on; `stack` holds the resume position, window end and
+    attachment atom of each enclosing window. Ending a window early
+    (saturation, a control symbol missing operands) resumes the enclosing
+    one after the branch.
+    """
+    elements: list[str] = []
+    free: list[int] = []  # remaining valence per atom
+    bonds: dict[tuple[int, int], tuple[int, int, int]] = {}
+    stack: list[tuple[int, int, int]] = []
+    current = None
+    i, n = 0, len(symbols)
+    while True:
+        while i < n:
+            s = symbols[i]
+            if s < 12:  # an atom symbol: below Symbol.BRANCH1
+                if current is None:
+                    current = 0
+                    elements.append(_ELEMENT[s])
+                    free.append(_CAP[s])
+                    i += 1
+                    continue
+                room = free[current]
+                if room == 0:
+                    break  # saturated: terminate this window
+                order = _ORDER[s]
+                if order > room:
+                    order = room
+                new = len(elements)
+                elements.append(_ELEMENT[s])
+                free.append(_CAP[s] - order)
+                free[current] = room - order
+                bonds[current, new] = (current, new, order)
+                current = new
                 i += 1
-                continue
-            if b.free[current] == 0:
-                return  # saturated: terminate this derivation
-            order = min(want, b.free[current], VALENCE[element])
-            new = b.place(element)
-            b.bond(current, new, order)
-            current = new
-            i += 1
-        elif sym in (Symbol.BRANCH1, Symbol.BRANCH2):
-            nq = 1 if sym == Symbol.BRANCH1 else 2
-            if i + nq >= n:
-                return  # control at end of string with missing operand(s)
-            if nq == 1:
-                length = int(window[i + 1]) + 1
-            else:
-                length = 16 * int(window[i + 1]) + int(window[i + 2]) + 1
-            body = window[i + 1 + nq : i + 1 + nq + length]
-            i = i + 1 + nq + len(body)
-            if current is None or b.free[current] < 2 or not body:
-                continue
-            _derive(b, body, current)
-        else:  # RING1 / RING2
-            nq = 1 if sym == Symbol.RING1 else 2
-            if i + nq >= n:
-                return
-            if nq == 1:
-                offset = int(window[i + 1]) + 2
-            else:
-                offset = 16 * int(window[i + 1]) + int(window[i + 2]) + 2
-            i += 1 + nq
-            if current is None:
-                continue
-            # placement order equals atom index by construction
-            target = max(0, current - offset)
-            if target == current:
-                continue
-            if b.has_bond(current, target):
-                continue
-            if b.free[current] == 0 or b.free[target] == 0:
-                continue
-            b.bond(current, target, 1)
+            elif s < 14:  # BRANCH1 / BRANCH2: a window of operand + 1 symbols
+                if s == 12:  # BRANCH1
+                    if i + 1 >= n:
+                        break  # control at end of window with missing operand(s)
+                    start = i + 2
+                    end = start + symbols[i + 1] + 1
+                else:
+                    if i + 2 >= n:
+                        break
+                    start = i + 3
+                    end = start + 16 * symbols[i + 1] + symbols[i + 2] + 1
+                if end > n:
+                    end = n
+                if current is None or free[current] < 2 or start == end:
+                    i = end
+                    continue
+                stack.append((end, n, current))
+                i, n = start, end
+            else:  # RING1 / RING2: bond back to atom current - (operand + 2)
+                if s == 14:  # RING1
+                    if i + 1 >= n:
+                        break
+                    offset = symbols[i + 1] + 2
+                    i += 2
+                else:
+                    if i + 2 >= n:
+                        break
+                    offset = 16 * symbols[i + 1] + symbols[i + 2] + 2
+                    i += 3
+                # placement order equals atom index by construction; a
+                # closure from atom 0 clamps to itself and is skipped
+                if not current:
+                    continue
+                target = current - offset if offset < current else 0
+                if ((target, current) in bonds
+                        or free[current] == 0 or free[target] == 0):
+                    continue
+                bonds[target, current] = (target, current, 1)
+                free[current] -= 1
+                free[target] -= 1
+        if not stack:
+            return elements, bonds
+        i, n, current = stack.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +322,7 @@ def encode(g: MolecularGraph) -> Genotype:
             except _LayoutConflict as exc:
                 last_error = str(exc)
                 continue
-            genotype = Genotype(tuple(symbols))
+            genotype = Genotype(bytes(symbols))
             # paranoia: the decoder is the ground truth for what we emitted
             if decode(genotype).canonical() == g.canonical():
                 return genotype
@@ -460,11 +486,11 @@ def _layout(g: MolecularGraph, tree: set[tuple[int, int]],
         f"ring closure offset outside [2, {MAX_RING_OFFSET}] for every ordering tried")
 
 
-_ATOM_SYMBOL: dict[tuple[str, int], Symbol] = {v: k for k, v in ATOM_INFO.items()}
+_ATOM_SYMBOL: dict[tuple[str, int], int] = {v: k for k, v in ATOM_INFO.items()}
 
 
 def _emit(g: MolecularGraph, root: int, children: dict[int, list[int]],
-          closures: list[tuple[int, int]]) -> list[Symbol]:
+          closures: list[tuple[int, int]]) -> list[int]:
     pos: dict[int, int] = {}
     stack = [root]
     while stack:
@@ -479,13 +505,13 @@ def _emit(g: MolecularGraph, root: int, children: dict[int, list[int]],
     for lst in closing_at.values():
         lst.sort(key=lambda e: -e)  # larger offsets last; any fixed order works
 
-    def index_symbols(value: int, width: int) -> list[Symbol]:
+    def index_symbols(value: int, width: int) -> list[int]:
         if width == 1:
-            return [Symbol(value)]
-        return [Symbol(value // 16), Symbol(value % 16)]
+            return [value]
+        return [value // 16, value % 16]
 
-    def subtree(u: int, bond_from_parent: int | None) -> list[Symbol]:
-        out: list[Symbol] = []
+    def subtree(u: int, bond_from_parent: int | None) -> list[int]:
+        out: list[int] = []
         el = g.elements[u]
         order = bond_from_parent if bond_from_parent is not None else 1
         sym = _ATOM_SYMBOL.get((el, order))
@@ -547,10 +573,10 @@ def random_genotype(rng, max_len: int) -> Genotype:
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    length = rng.randint(1, max_len)
+    length = need = rng.randint(1, max_len)
     symbols = b""
-    while len(symbols) < length:
-        need = length - len(symbols)
+    while need:
         words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
         symbols += words[3::4].translate(_TOP5, _REJECTED)
-    return Genotype(tuple(map(_SYMBOLS.__getitem__, symbols)))
+        need = length - len(symbols)
+    return Genotype(symbols)

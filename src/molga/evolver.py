@@ -86,24 +86,23 @@ def mutate(g: Genotype, rng: random.Random, max_canonical_len: int = 81,
     unchanged. The canonical string is rendered only when its length
     bounds straddle the cap.
     """
-    symbols = list(g.symbols)
+    symbols = g.symbols
     for _ in range(MUTATION_RETRIES):
         kind = draw_mutation_kind(rng)
         if kind == "phenyl":
             pos = rng.randint(0, len(symbols))
-            cand = symbols[:pos] + list(PHENYL_SYMBOLS) + symbols[pos:]
+            cand = symbols[:pos] + PHENYL_SYMBOLS + symbols[pos:]
         elif kind == "insert":
             pos = rng.randint(0, len(symbols))
-            sym = Symbol(rng.randrange(N_SYMBOLS))
-            cand = symbols[:pos] + [sym] + symbols[pos:]
+            sym = bytes((rng.randrange(N_SYMBOLS),))
+            cand = symbols[:pos] + sym + symbols[pos:]
         else:
             pos = rng.randrange(len(symbols))
-            sym = Symbol(rng.randrange(N_SYMBOLS))
-            cand = list(symbols)
-            cand[pos] = sym
+            sym = bytes((rng.randrange(N_SYMBOLS),))
+            cand = symbols[:pos] + sym + symbols[pos + 1:]
         if len(cand) > max_genotype_len:
             continue
-        child = Genotype(tuple(cand))
+        child = Genotype(cand)
         graph = decode(child)
         lo, hi = canonical_length_bounds(graph)
         if hi <= max_canonical_len or (
@@ -263,7 +262,7 @@ class Evolver:
                 raise ValueError("initial_genotypes length must equal population_size")
             genotypes = list(cfg.initial_genotypes)
         else:
-            genotypes = [Genotype((Symbol.C,))] * cfg.population_size
+            genotypes = [Genotype(bytes((Symbol.C,)))] * cfg.population_size
         self.population = [self._evaluate(g) for g in genotypes]
         self._refresh_d_scores()
         self._update_archive(self.population)

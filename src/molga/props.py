@@ -56,11 +56,12 @@ def logp_raw(g: MolecularGraph) -> float:
 
 def _logp_raw(g: MolecularGraph) -> float:
     conj = _conjugated_ring_atoms(g)
-    n_conj_c = sum(1 for i in conj if g.elements[i] == "C")
-    n_plain_c = sum(1 for el in g.elements if el == "C") - n_conj_c
+    elements = g.elements
+    n_conj_c = sum(1 for i in conj if elements[i] == "C")
+    n_plain_c = elements.count("C") - n_conj_c
     total = n_conj_c * _LOGP_C_CONJ_RING + n_plain_c * _LOGP_C_PLAIN
     for el, contrib in _LOGP_CONTRIB.items():
-        count = sum(1 for e in g.elements if e == el)
+        count = elements.count(el)
         if count:
             total += count * contrib
     return total

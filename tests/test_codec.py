@@ -146,6 +146,36 @@ class TestDecodeTotality:
             Genotype(())
 
 
+class TestGenotypeSymbols:
+    def test_int_sequence_becomes_bytes(self):
+        gt = Genotype((Symbol.C, Symbol.BRANCH1, 0, 11, 15))
+        assert gt.symbols == bytes((0, 12, 0, 11, 15))
+        assert gt == Genotype([0, 12, 0, 11, 15]) == Genotype(gt.symbols)
+        assert hash(gt) == hash(Genotype(gt.symbols))
+
+    @pytest.mark.parametrize("bad", [16, 99, 255, 256, -1, -16])
+    def test_index_outside_alphabet_rejected(self, bad):
+        # 99 used to decode as [Ring2] and then fail in text()
+        with pytest.raises(ValueError):
+            Genotype((Symbol.C, Symbol.C, Symbol.C, bad, Symbol.N, Symbol.C))
+
+    def test_bytes_outside_alphabet_rejected(self):
+        with pytest.raises(ValueError):
+            Genotype(b"\x00\x10")
+
+    def test_int_rejected(self):
+        # bytes(3) would be three [C] symbols
+        with pytest.raises(TypeError):
+            Genotype(3)
+
+    def test_graph_memo_ignored_by_equality(self):
+        a, b = parse_genotype("[C][O]"), parse_genotype("[C][O]")
+        mol = decode(a)
+        assert a.graph is mol
+        assert a == b and hash(a) == hash(b)
+        assert decode(b) is mol  # the structure cache, not a's memo
+
+
 class TestEncode:
     def test_single_atom(self):
         assert encode(MolecularGraph(["C"], [])).text() == "[C]"
@@ -261,7 +291,7 @@ class TestLocality:
         for _ in range(200):
             gt = random_genotype(rng, 20)
             mol1 = decode(gt)
-            extended = Genotype(gt.symbols + (Symbol.C, Symbol.S))
+            extended = Genotype(gt.symbols + bytes((Symbol.C, Symbol.S)))
             mol2 = decode(extended)
             # either the extension changed the molecule (no termination) or
             # it is identical; both must be valid
@@ -356,9 +386,9 @@ class TestStructureTable:
             genotypes[id(gt)] = gt  # kept alive, so ids stay distinct
             return decode(gt)
 
-        def counting_derive(b, window, root):
-            derived[0] += root is None
-            return derive(b, window, root)
+        def counting_derive(symbols):
+            derived[0] += 1
+            return derive(symbols)
 
         ref = synthetic_reference(50, seed=1)
         derive = codec._derive

@@ -226,7 +226,7 @@ class TestUpdateArchive:
         rng = random.Random(3)
         # several genotypes per structure: duplicate canonicals with other texts
         pool = [random_genotype(rng, 12) for _ in range(40)]
-        pool += [Genotype(gt.symbols + (Symbol.BRANCH1,)) for gt in pool[:20]]
+        pool += [Genotype(gt.symbols + bytes((Symbol.BRANCH1,))) for gt in pool[:20]]
         for trial in range(300):
             k = rng.choice((1, 2, 3, 5, 8))
             archiver = SimpleNamespace(config=EvolverConfig(archive_k=k), archive={})
