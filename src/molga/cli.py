@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from typing import Any
 
 from . import analysis, tasks
@@ -106,6 +107,11 @@ def parse_config(doc: dict) -> dict:
         raise ConfigError(f"unknown task {out['task']!r}; expected one of {tuple(_RUNNERS)}")
     if not _is_int(out["seed"]):
         raise ConfigError("seed must be an integer")
+    source = out["reference"]
+    if not (source is None or isinstance(source, str)
+            or isinstance(source, dict) and set(source) == {"synthetic"}
+            and _is_int(source["synthetic"]) and source["synthetic"] >= 1):
+        raise ConfigError('reference must be null, a path, or {"synthetic": N} with N >= 1')
     for key in ("population_size", "generations", "max_canonical_len",
                 "max_genotype_len", "archive_k", "snapshot_every", "threads",
                 "elite_count"):
@@ -113,6 +119,8 @@ def parse_config(doc: dict) -> dict:
             raise ConfigError(f"{key} must be a non-negative integer")
     if out["population_size"] < 1:
         raise ConfigError("population_size must be >= 1")
+    if out["elite_count"] > out["population_size"]:
+        raise ConfigError("elite_count must be <= population_size")
     if out["archive_k"] < 1:
         raise ConfigError("archive_k must be >= 1")
     if out["threads"] < 1:
@@ -160,23 +168,16 @@ def parse_config(doc: dict) -> dict:
 
 
 def load_config_reference(config: dict) -> tuple[ReferenceSet, dict]:
+    """The reference of a parsed config: the bundle, a file or synthetic."""
     source = config["reference"]
-    if source is None:
-        path = bundled_reference_path()
-        ref, report = load_reference(path)
-        info = {"path": path, "usable": report.n_usable, "failed": report.n_failed}
-    elif isinstance(source, dict) and "synthetic" in source:
-        n = int(source["synthetic"])
-        ref = synthetic_reference(n, seed=config["seed"])
-        info = {"synthetic": n}
-    elif isinstance(source, str):
-        if not os.path.exists(source):
-            raise ConfigError(f"reference file not found: {source}")
-        ref, report = load_reference(source)
-        info = {"path": source, "usable": report.n_usable, "failed": report.n_failed}
-    else:
-        raise ConfigError("reference must be a path, {\"synthetic\": N}, or null")
-    return ref, info
+    if isinstance(source, dict):
+        n = source["synthetic"]
+        return synthetic_reference(n, seed=config["seed"]), {"synthetic": n}
+    path = bundled_reference_path() if source is None else source
+    if not os.path.exists(path):
+        raise ConfigError(f"reference file not found: {path}")
+    ref, report = load_reference(path)
+    return ref, {"path": path, "usable": report.n_usable, "failed": report.n_failed}
 
 
 def determinism_hash(report: dict) -> str:
@@ -245,10 +246,11 @@ def _evolver_config(config: dict) -> EvolverConfig:
 
 
 def _archive_json(result: RunResult) -> list[dict]:
+    """The report's five best archive entries."""
     return [
         {"canonical": e.canonical, "genotype": e.genotype_text,
-         "score": e.score, "record": e.record.to_dict()}
-        for e in result.archive
+         "score": e.score, "record": asdict(e.record)}
+        for e in result.archive[:5]
     ]
 
 
@@ -282,7 +284,7 @@ def _run_ga(config: dict, ref: ReferenceSet, out_dir: str | None):
     result = run(cfg, ref)
     summary = {
         "best_j": result.best_trace[-1],
-        "best": _archive_json(result)[:5],
+        "best": _archive_json(result),
         "best_trace": result.best_trace,
         "beta_trace": result.beta_trace,
     }
@@ -300,7 +302,7 @@ def _run_constrained(config: dict, ref: ReferenceSet, out_dir: str | None):
     else:
         res = tasks.run_constrained_batch(ref, cfg, n_molecules=c["n_molecules"],
                                           delta=c["delta"])
-    return res.to_dict(), None
+    return asdict(res), None
 
 
 def _run_property_target(config: dict, ref: ReferenceSet, out_dir: str | None):
@@ -311,13 +313,13 @@ def _run_property_target(config: dict, ref: ReferenceSet, out_dir: str | None):
         res = tasks.run_property_target(targets, ref, cfg)
     else:
         res = tasks.run_property_target_batch(ref, cfg, n_targets=p["n_targets"])
-    return res.to_dict(), None
+    return asdict(res), None
 
 
 def _run_logp_qed(config: dict, ref: ReferenceSet, out_dir: str | None):
     w = config["logp_qed"]
     res = tasks.run_logp_qed(ref, _evolver_config(config), w_j=w["w_j"], w_qed=w["w_qed"])
-    return {"best": _archive_json(res.run)[:5], "archive_scatter": res.archive_scatter}, res.run
+    return {"best": _archive_json(res.run), "archive_scatter": res.archive_scatter}, res.run
 
 
 def _run_random_baseline(config: dict, ref: ReferenceSet, out_dir: str | None):
@@ -325,7 +327,7 @@ def _run_random_baseline(config: dict, ref: ReferenceSet, out_dir: str | None):
         ref, config["random_baseline"]["n_samples"], seed=config["seed"],
         max_canonical_len=config["max_canonical_len"],
         max_genotype_len=config["max_genotype_len"])
-    return res.to_dict(), None
+    return asdict(res), None
 
 
 def _run_beta_sweep(config: dict, ref: ReferenceSet, out_dir: str | None):
@@ -340,7 +342,7 @@ def _run_beta_sweep(config: dict, ref: ReferenceSet, out_dir: str | None):
             for row in res.rows:
                 for gen, (mj, md) in enumerate(zip(row.mean_j_trace, row.mean_d_trace)):
                     fh.write(f"{row.beta:g},{gen},{mj:.6f},{md:.6f}\n")
-    return res.to_dict(), None
+    return asdict(res), None
 
 
 # Keys every task accepts; the rest of a task's keys sit next to its runner.

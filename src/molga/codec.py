@@ -108,19 +108,6 @@ class Genotype:
     def __str__(self) -> str:
         return self.text()
 
-    @property
-    def graph(self) -> MolecularGraph:
-        # a pure function of the symbols, kept in the instance dict (not a
-        # field, so equality and hashing ignore it): a child that mutation
-        # has decoded is not derived again when it is evaluated. A plain
-        # property, since functools.cached_property takes a lock on every
-        # first read on Python 3.11.
-        d = self.__dict__
-        g = d.get("_graph")
-        if g is None:
-            g = d["_graph"] = _derive_graph(self.symbols)
-        return g
-
 
 _TOKEN_RE = re.compile(r"\[[^\[\]]*\]")
 
@@ -168,7 +155,15 @@ def decode(g: Genotype) -> MolecularGraph:
     one graph (and its memoized canonical form) while the structure cache
     holds it.
     """
-    return g.graph
+    # kept in the genotype's instance dict (not a field, so equality and
+    # hashing ignore it): a child that mutation has decoded is not derived
+    # again when it is evaluated. Not a functools.cached_property, which
+    # takes a lock on every first read on Python 3.11.
+    d = g.__dict__
+    graph = d.get("_graph")
+    if graph is None:
+        graph = d["_graph"] = _derive_graph(g.symbols)
+    return graph
 
 
 # The structure cache: (elements, bond tuple) -> the graph with exactly that

@@ -25,7 +25,7 @@ import numpy as np
 
 from .codec import N_SYMBOLS, PHENYL_SYMBOLS, Genotype, Symbol, decode
 from .discriminator import DiscriminatorModel, featurize, init_model, predict, train
-from .graph import MolecularGraph, canonical_length_bounds
+from .graph import MolecularGraph, canonical_length_in
 from .props import PropertyRecord, penalized_logp
 from .reference import ReferenceSet
 from .schedules import BetaSchedule, next_beta
@@ -84,7 +84,7 @@ def mutate(g: Genotype, rng: random.Random, max_canonical_len: int = 81,
     max_canonical_len (and the genotype itself must fit max_genotype_len);
     up to MUTATION_RETRIES fresh draws, after which the parent is returned
     unchanged. The canonical string is rendered only when its length
-    bounds straddle the cap.
+    bounds straddle the cap (see `graph.canonical_length_in`).
     """
     symbols = g.symbols
     for _ in range(MUTATION_RETRIES):
@@ -103,10 +103,7 @@ def mutate(g: Genotype, rng: random.Random, max_canonical_len: int = 81,
         if len(cand) > max_genotype_len:
             continue
         child = Genotype(cand)
-        graph = decode(child)
-        lo, hi = canonical_length_bounds(graph)
-        if hi <= max_canonical_len or (
-                lo <= max_canonical_len and len(graph.canonical()) <= max_canonical_len):
+        if canonical_length_in(decode(child), 1, max_canonical_len):
             return child
     return g
 
@@ -293,14 +290,14 @@ class Evolver:
 
         probs = kill_probabilities([i.fitness for i in pop], [i.age for i in pop])
         kill = [self.rng.random() < probs[i] for i in range(n)]
-        elite_order = sorted(range(n), key=lambda i: (-pop[i].fitness, pop[i].age, i))
-        for e in elite_order[: cfg.elite_count]:
+        order = sorted(range(n), key=lambda i: (-pop[i].fitness, pop[i].age, i))
+        for e in order[: cfg.elite_count]:
             kill[e] = False
 
         survivors = [i for i in range(n) if not kill[i]]
         killed = [i for i in range(n) if kill[i]]
         if cfg.parent_selection == "top-fraction":
-            ranked = sorted(survivors, key=lambda i: (-pop[i].fitness, pop[i].age, i))
+            ranked = [i for i in order if not kill[i]]
             pool = ranked[: max(1, int(len(ranked) * cfg.top_fraction))]
         else:
             pool = survivors

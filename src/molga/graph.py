@@ -15,7 +15,7 @@ import heapq
 import struct
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .errors import MolgaError
 
@@ -152,32 +152,26 @@ class MolecularGraph:
         return f"MolecularGraph({len(self.elements)} atoms, {len(self.bonds)} bonds)"
 
     # Derived data is memoized on the instance; graphs are never mutated.
-    def ring_basis(self) -> tuple[tuple[int, ...], ...]:
-        if "rings" not in self._cache:
-            self._cache["rings"] = _minimum_cycle_basis(self)
-        return self._cache["rings"]
-
-    def ring_atoms(self) -> frozenset[int]:
-        # Not memoized: its readers, the refined ranks and the fingerprint,
-        # are, so it runs at most twice per graph.
-        return frozenset(chain.from_iterable(self.ring_basis()))
-
-    def canonical(self) -> str:
-        if "canonical" not in self._cache:
-            self._cache["canonical"] = _canonical_string(self)
-        return self._cache["canonical"]
-
-    def memo(self, key: str, compute: Callable[["MolecularGraph"], Any]) -> Any:
+    def memo(self, key: Hashable, compute: Callable[["MolecularGraph"], Any]) -> Any:
         """`compute(self)`, computed once per graph."""
         if key not in self._cache:
             self._cache[key] = compute(self)
         return self._cache[key]
 
+    def ring_basis(self) -> tuple[tuple[int, ...], ...]:
+        return self.memo("rings", _minimum_cycle_basis)
+
+    def ring_atoms(self) -> frozenset[int]:
+        # Not memoized: its readers, the canonical string and the
+        # fingerprint, are, so it runs at most twice per graph.
+        return frozenset(chain.from_iterable(self.ring_basis()))
+
+    def canonical(self) -> str:
+        return self.memo("canonical", _canonical_string)
+
     def fingerprint(self, radius: int = 2, nbits: int = 1024) -> "Fingerprint":
         key = _FP_KEY if radius == 2 and nbits == 1024 else ("fp", radius, nbits)
-        if key not in self._cache:
-            self._cache[key] = _fingerprint(self, radius, nbits)
-        return self._cache[key]
+        return self.memo(key, lambda g: _fingerprint(g, radius, nbits))
 
 
 def methane() -> MolecularGraph:
@@ -462,8 +456,6 @@ def _basis_by_elimination(g: MolecularGraph,
 
 
 def _refined_ranks(g: MolecularGraph) -> list[int]:
-    if "ranks" in g._cache:
-        return g._cache["ranks"]
     n = g.n_atoms
     adj = g._adj
     ring = g.ring_atoms()
@@ -485,7 +477,6 @@ def _refined_ranks(g: MolecularGraph) -> list[int]:
             ranks = new_ranks
             break
         ranks, n_classes = new_ranks, new_classes
-    g._cache["ranks"] = ranks
     return ranks
 
 
@@ -661,6 +652,15 @@ def canonical_length_bounds(g: MolecularGraph) -> tuple[int, int]:
     digits = 2 * r if r <= 9 else 18 + 6 * (r - 9)
     branches = 2 + 2 * sum(len(nbrs) - 2 for nbrs in adj if len(nbrs) > 2)
     return lo, n + b + digits + branches
+
+
+def canonical_length_in(g: MolecularGraph, lo: int, hi: int) -> bool:
+    """lo <= len(g.canonical()) <= hi. The string is rendered only when its
+    length bounds straddle the range."""
+    low, high = canonical_length_bounds(g)
+    if high < lo or low > hi:
+        return False
+    return lo <= low and high <= hi or lo <= len(g.canonical()) <= hi
 
 
 def canonical(g: MolecularGraph) -> str:

@@ -142,14 +142,6 @@ class PropertyRecord:
     ring_z: float
     j: float
 
-    def to_dict(self) -> dict:
-        return {
-            "logp_raw": self.logp_raw, "sa_raw": self.sa_raw,
-            "ring_raw": self.ring_raw, "qed": self.qed,
-            "logp_z": self.logp_z, "sa_z": self.sa_z, "ring_z": self.ring_z,
-            "j": self.j,
-        }
-
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
     n = len(values)

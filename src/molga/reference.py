@@ -18,7 +18,7 @@ import numpy as np
 from .codec import decode, random_genotype
 from .discriminator import FeatureStats, featurize
 from .errors import MolgaError
-from .graph import MolecularGraph, canonical_length_bounds, parse_smiles
+from .graph import MolecularGraph, canonical_length_in, parse_smiles
 from .props import EmptyReference, NormStats, PropertyRecord, fit_norm, penalized_logp
 
 MIN_USABLE = 100
@@ -101,10 +101,6 @@ def synthetic_reference(n: int, seed: int, min_canonical: int = 10,
     graphs: list[MolecularGraph] = []
     while len(graphs) < n:
         g = decode(random_genotype(rng, max_genotype_len))
-        lo, hi = canonical_length_bounds(g)
-        if hi < min_canonical or lo > max_canonical:
-            continue  # no length the bounds allow is in range
-        if (min_canonical <= lo and hi <= max_canonical
-                or min_canonical <= len(g.canonical()) <= max_canonical):
+        if canonical_length_in(g, min_canonical, max_canonical):
             graphs.append(g)
     return ReferenceSet(graphs)

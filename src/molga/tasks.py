@@ -8,7 +8,7 @@ driver: they are `evolver.run` on the caller's config."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .codec import (
     Genotype, UnencodableGraph, decode, encode, parse_genotype, random_genotype,
 )
 from .evolver import EvolverConfig, RunResult, run
-from .graph import MolecularGraph, canonical_length_bounds, tanimoto
+from .graph import MolecularGraph, canonical_length_in, tanimoto
 from .graph import fingerprint  # noqa: F401 (bench/tests reads tasks.fingerprint)
 from .props import PropertyRecord, penalized_logp
 from .reference import ReferenceSet
@@ -67,17 +67,6 @@ class ConstrainedResult:
     success: bool = False
     verified: bool = False
     error: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "reference_canonical": self.reference_canonical,
-            "reference_j": self.reference_j, "delta": self.delta,
-            "best_canonical": self.best_canonical,
-            "best_genotype": self.best_genotype,
-            "best_j": self.best_j, "best_similarity": self.best_similarity,
-            "improvement": self.improvement, "success": self.success,
-            "verified": self.verified, "error": self.error,
-        }
 
 
 def run_constrained(reference_graph: MolecularGraph, ref: ReferenceSet,
@@ -135,13 +124,6 @@ class ConstrainedBatchResult:
     results: list[ConstrainedResult]
     mean_improvement: float
     success_rate: float
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_improvement": self.mean_improvement,
-            "success_rate": self.success_rate,
-            "results": [r.to_dict() for r in self.results],
-        }
 
 
 def lowest_scoring_references(ref: ReferenceSet, n: int) -> list[int]:
@@ -250,15 +232,6 @@ class PropertyTargetResult:
     best_ssd: float
     generations_used: int
 
-    def to_dict(self) -> dict:
-        return {
-            "targets": {"logp": self.targets.logp, "sa": self.targets.sa,
-                        "ring": self.targets.ring},
-            "success": self.success, "best_canonical": self.best_canonical,
-            "best_genotype": self.best_genotype, "best_ssd": self.best_ssd,
-            "generations_used": self.generations_used,
-        }
-
 
 def run_property_target(targets: PropertyTargets, ref: ReferenceSet,
                         config: EvolverConfig) -> PropertyTargetResult:
@@ -287,10 +260,6 @@ class PropertyTargetBatchResult:
     results: list[PropertyTargetResult]
     success_rate: float
 
-    def to_dict(self) -> dict:
-        return {"success_rate": self.success_rate,
-                "results": [r.to_dict() for r in self.results]}
-
 
 def run_property_target_batch(ref: ReferenceSet, config: EvolverConfig, *,
                               n_targets: int = 100) -> PropertyTargetBatchResult:
@@ -309,13 +278,6 @@ def run_property_target_batch(ref: ReferenceSet, config: EvolverConfig, *,
 class LogpQedResult:
     run: RunResult
     archive_scatter: list[tuple[float, float]]  # (logp_raw, qed) per archive entry
-    reference_scatter: list[tuple[float, float]]
-
-    def to_dict(self) -> dict:
-        return {
-            "archive_scatter": self.archive_scatter,
-            "reference_scatter": self.reference_scatter,
-        }
 
 
 def run_logp_qed(ref: ReferenceSet, config: EvolverConfig, *, w_j: float = 1.0,
@@ -329,8 +291,7 @@ def run_logp_qed(ref: ReferenceSet, config: EvolverConfig, *, w_j: float = 1.0,
 
     result = run(_without_discriminator(config), ref, objective)
     archive_scatter = [(e.record.logp_raw, e.record.qed) for e in result.archive]
-    reference_scatter = [(r.logp_raw, r.qed) for r in ref.records]
-    return LogpQedResult(result, archive_scatter, reference_scatter)
+    return LogpQedResult(result, archive_scatter)
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +309,6 @@ class BaselineResult:
     best_genotype: str
     histogram_edges: list[float]
     histogram_counts: list[int]
-    j_values: list[float] = field(repr=False, default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "max_j": self.max_j, "mean_j": self.mean_j,
-            "std_j": self.std_j, "best_canonical": self.best_canonical,
-            "best_genotype": self.best_genotype,
-            "histogram_edges": self.histogram_edges,
-            "histogram_counts": self.histogram_counts,
-        }
 
 
 def run_random_baseline(ref: ReferenceSet, n: int, seed: int = 0, *,
@@ -377,8 +328,7 @@ def run_random_baseline(ref: ReferenceSet, n: int, seed: int = 0, *,
     while len(values) < n:
         genotype = random_genotype(rng, max_genotype_len)
         graph = decode(genotype)
-        if (canonical_length_bounds(graph)[1] > max_canonical_len
-                and len(graph.canonical()) > max_canonical_len):
+        if not canonical_length_in(graph, 1, max_canonical_len):
             continue
         j = penalized_logp(graph, ref.prop_stats).j
         values.append(j)
@@ -394,7 +344,6 @@ def run_random_baseline(ref: ReferenceSet, n: int, seed: int = 0, *,
         best_genotype=best[1].text(),
         histogram_edges=[float(e) for e in edges],
         histogram_counts=[int(c) for c in counts],
-        j_values=values,
     )
 
 
@@ -410,23 +359,11 @@ class BetaSweepRow:
     mean_d_trace: list[float]
     final_mean_j: float
     late_mean_d: float  # mean D over the last quarter of generations
-    final_j_values: list[float]
-    final_d_values: list[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta, "mean_j_trace": self.mean_j_trace,
-            "mean_d_trace": self.mean_d_trace,
-            "final_mean_j": self.final_mean_j, "late_mean_d": self.late_mean_d,
-        }
 
 
 @dataclass
 class BetaSweepResult:
     rows: list[BetaSweepRow]
-
-    def to_dict(self) -> dict:
-        return {"rows": [r.to_dict() for r in self.rows]}
 
 
 def run_beta_sweep(ref: ReferenceSet, config: EvolverConfig, betas: list[float], *,
@@ -439,14 +376,12 @@ def run_beta_sweep(ref: ReferenceSet, config: EvolverConfig, betas: list[float],
     for beta in betas:
         j_traces, d_traces = [], []
         final_j: list[float] = []
-        final_d: list[float] = []
         for s in range(seeds_per_beta):
             result = run(replace(_nth_run(config, s), schedule=BetaSchedule.const(beta),
                                  use_discriminator=True), ref)
             j_traces.append([log.mean_j for log in result.logs])
             d_traces.append([log.mean_d for log in result.logs])
             final_j.extend(ind.score for ind in result.population)
-            final_d.extend(ind.d for ind in result.population)
         mean_j_trace = [float(np.mean(col)) for col in zip(*j_traces)]
         mean_d_trace = [float(np.mean(col)) for col in zip(*d_traces)]
         late = max(1, len(mean_d_trace) // 4)
@@ -454,6 +389,5 @@ def run_beta_sweep(ref: ReferenceSet, config: EvolverConfig, betas: list[float],
             beta=beta, mean_j_trace=mean_j_trace, mean_d_trace=mean_d_trace,
             final_mean_j=float(np.mean(final_j)),
             late_mean_d=float(np.mean(mean_d_trace[-late:])),
-            final_j_values=final_j, final_d_values=final_d,
         ))
     return BetaSweepResult(rows)

@@ -84,6 +84,15 @@ class TestConfig:
         ({"task": "random_baseline", "max_canonical_len": 0}, "max_canonical_len"),
         ({"task": "random_baseline", "max_genotype_len": 0}, "max_genotype_len"),
         ({"task": "adaptive_dt", "adaptive": {"low": 5.0, "high": 1.0}}, "adaptive.low"),
+        ({"population_size": 5, "elite_count": 9}, "elite_count"),
+        ({"reference": {"synthetic": "abc"}}, "reference"),
+        ({"reference": {"synthetic": True}}, "reference"),
+        ({"reference": {"synthetic": 120.0}}, "reference"),
+        ({"reference": {"synthetic": 0}}, "reference"),
+        ({"reference": {"synthetic": 120, "colour": "blue"}}, "reference"),
+        ({"reference": {}}, "reference"),
+        ({"reference": 120}, "reference"),
+        ({"reference": ["ref.smi"]}, "reference"),
     ])
     def test_nonsense_value_rejected(self, doc, key):
         with pytest.raises(ConfigError, match=f"^{key} must"):
@@ -274,6 +283,19 @@ class TestSubcommands:
     def test_run_missing_config(self, capsys):
         code, _, err = _run_cli(["run", "/no/such/config.json"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("doc,key", [
+        ({"population_size": 5, "elite_count": 9}, "elite_count"),
+        ({"reference": {"synthetic": "abc"}}, "reference"),
+        ({"reference": {"synthetic": True}}, "reference"),
+        ({"reference": {"synthetic": 120, "colour": "blue"}}, "reference"),
+    ])
+    def test_run_rejects_config_before_running(self, capsys, tmp_path, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"generations": 1, **doc}))
+        code, _, err = _run_cli(["run", str(cfg)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {key} must")
 
     def test_run_missing_reference(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

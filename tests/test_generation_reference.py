@@ -172,7 +172,7 @@ class TestMutate:
     def test_same_child_and_stream_as_rendering_every_candidate(self, monkeypatch):
         decided = {"accept": 0, "reject": 0, "render": 0}
         current_cap = [0]
-        bounds = evolver.canonical_length_bounds
+        bounds = graph.canonical_length_bounds
 
         def recording_bounds(g):
             lo, hi = bounds(g)
@@ -180,7 +180,7 @@ class TestMutate:
             decided["accept" if hi <= cap else "reject" if lo > cap else "render"] += 1
             return lo, hi
 
-        monkeypatch.setattr(evolver, "canonical_length_bounds", recording_bounds)
+        monkeypatch.setattr(graph, "canonical_length_bounds", recording_bounds)
         for seed in range(150):
             draw = random.Random(seed)
             parent = random_genotype(draw, 99)

@@ -20,6 +20,7 @@ from molga.graph import (
     _minimum_cycle_basis,
     canonical,
     canonical_length_bounds,
+    canonical_length_in,
     fingerprint,
     methane,
     parse_smiles,
@@ -364,6 +365,28 @@ class TestCanonicalLengthBounds:
     def test_unproven_connectivity_is_rendered(self, mol):
         k = len(mol.canonical())
         assert canonical_length_bounds(mol) == (k, k)
+
+
+class TestCanonicalLengthIn:
+    @pytest.mark.parametrize("lo, hi", [(1, 20), (10, 30), (25, 60)])
+    def test_random_decodes(self, lo, hi):
+        rng = random.Random(lo * 100 + hi)
+        outcomes = set()
+        for _ in range(1500):
+            mol = decode(random_genotype(rng, 100))
+            fresh = MolecularGraph(mol.elements, mol.bond_list)  # nothing memoized
+            inside = canonical_length_in(fresh, lo, hi)
+            rendered = "canonical" in fresh._cache
+            assert inside == (lo <= len(fresh.canonical()) <= hi)
+            outcomes.add("rendered" if rendered else "in" if inside else "out")
+        assert outcomes == {"in", "out", "rendered"}
+
+    def test_disconnected_graph_is_rendered(self):
+        # ethane and formaldehyde: "C=O.CC"
+        for (lo, hi), inside in (((1, 6), True), ((6, 9), True), ((1, 5), False), ((7, 9), False)):
+            mol = MolecularGraph(["C", "C", "C", "O"], [(0, 1, 1), (2, 3, 2)])
+            assert canonical_length_in(mol, lo, hi) is inside
+            assert mol._cache["canonical"] == "C=O.CC"
 
 
 class TestParseSmiles:

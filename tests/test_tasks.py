@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from molga import tasks
@@ -230,7 +231,6 @@ class TestLogpQed:
 
     def test_scatter_shapes(self, ref):
         res = run_logp_qed(ref, EvolverConfig(population_size=20, generations=3, seed=5))
-        assert len(res.reference_scatter) == len(ref)
         assert all(len(p) == 2 for p in res.archive_scatter)
 
     def test_edge_sampling_pilot(self):
@@ -314,7 +314,11 @@ class TestSamplersMatchRendering:
 
         monkeypatch.setattr(tasks, "penalized_logp", recording)
         res = run_random_baseline(ref, 400, seed=5, max_canonical_len=cap)
-        assert res.j_values == values
+        counts, edges = np.histogram(values, bins=50)
+        assert (res.max_j, res.mean_j, res.std_j) == (
+            float(np.max(values)), float(np.mean(values)), float(np.std(values)))
+        assert res.histogram_counts == [int(c) for c in counts]
+        assert res.histogram_edges == [float(e) for e in edges]
         assert (res.best_canonical, res.best_genotype) == best
         assert scored == kept
 
@@ -354,7 +358,6 @@ class TestBetaSweep:
         assert len(sweep.rows) == 2
         for row in sweep.rows:
             assert len(row.mean_j_trace) == 5
-            assert len(row.final_j_values) == 2 * 20
 
 
 def _run_adaptive(ref, window, population_size, generations, seed):
