@@ -21,7 +21,7 @@ from . import analysis, tasks
 from .codec import decode, encode, parse_genotype
 from .discriminator import save_checkpoint
 from .errors import MolgaError
-from .evolver import EvolverConfig, GenerationLog, RunResult, run
+from .evolver import Evolver, EvolverConfig, GenerationLog, run
 from .graph import parse_smiles
 from .props import penalized_logp
 from .reference import ReferenceSet, load_reference, synthetic_reference
@@ -245,16 +245,16 @@ def _evolver_config(config: dict) -> EvolverConfig:
     )
 
 
-def _archive_json(result: RunResult) -> list[dict]:
+def _archive_json(result: Evolver) -> list[dict]:
     """The report's five best archive entries."""
     return [
         {"canonical": e.canonical, "genotype": e.genotype_text,
          "score": e.score, "record": asdict(e.record)}
-        for e in result.archive[:5]
+        for e in result.archive_sorted()[:5]
     ]
 
 
-def _write_outputs(out_dir: str, report: dict, result: RunResult | None) -> None:
+def _write_outputs(out_dir: str, report: dict, result: Evolver | None) -> None:
     os.makedirs(out_dir, exist_ok=True)
     if result is not None:
         with open(os.path.join(out_dir, "generations.csv"), "w") as fh:
@@ -276,7 +276,7 @@ def _write_outputs(out_dir: str, report: dict, result: RunResult | None) -> None
 
 
 # Each runner takes (config, reference, out_dir) and returns the report's
-# "result" and the RunResult whose trace is written, if the task has one.
+# "result" and the Evolver whose trace is written, if the task has one.
 
 
 def _run_ga(config: dict, ref: ReferenceSet, out_dir: str | None):
@@ -388,24 +388,24 @@ def run_task(config: dict, out_dir: str | None) -> dict:
 
 
 def _load_run_config(args, task: str | None = None) -> tuple[dict, str | None]:
-    """The parsed config file with the --seed/--threads overrides applied,
-    and the output directory."""
+    """The config file with the --seed, --threads and --synthetic-reference
+    overrides written in, parsed, and the output directory."""
     with open(args.config) as fh:
         doc = json.load(fh)
     if task is not None:
         doc["task"] = task
-    config = parse_config(doc)
     if args.seed is not None:
-        config["seed"] = args.seed
+        doc["seed"] = args.seed
     if args.threads is not None:
-        config["threads"] = args.threads
+        doc["threads"] = args.threads
+    if getattr(args, "synthetic_reference", None) is not None:
+        doc["reference"] = {"synthetic": args.synthetic_reference}
+    config = parse_config(doc)
     return config, args.out or config["output_dir"] or os.environ.get("MOLGA_OUT")
 
 
 def _cmd_run(args) -> int:
     config, out_dir = _load_run_config(args)
-    if args.synthetic_reference is not None:
-        config["reference"] = {"synthetic": args.synthetic_reference}
     report = run_task(config, out_dir)
     print(json.dumps({k: report[k] for k in ("task", "determinism_hash")}, indent=2))
     if out_dir:

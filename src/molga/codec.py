@@ -310,10 +310,10 @@ def encode(g: MolecularGraph) -> Genotype:
             raise UnencodableGraph(f"element {el!r} not in the symbol alphabet")
     last_error = "no conflict-free traversal found"
     for tree, closures in _spanning_tree_variants(g):
-        for root in _root_candidates(g):
+        for root in range(g.n_atoms):
             try:
-                order = _layout(g, tree, closures, root)
-                symbols = _emit(g, root, order, closures)
+                children, pos = _layout(g, tree, closures, root)
+                symbols = _emit(g, root, children, pos, closures)
             except _LayoutConflict as exc:
                 last_error = str(exc)
                 continue
@@ -388,22 +388,15 @@ def _spanning_tree_variants(g: MolecularGraph):
         if key in seen:
             continue
         seen.add(key)
-        try:
-            yield _spanning_tree(g, order)
-        except UnencodableGraph:
-            raise  # high-order cycle: no tree can fix it
-
-
-def _root_candidates(g: MolecularGraph):
-    yield 0
-    for i in range(1, g.n_atoms):
-        yield i
+        yield _spanning_tree(g, order)  # a high-order cycle raises: no tree can fix it
 
 
 def _layout(g: MolecularGraph, tree: set[tuple[int, int]],
-            closures: list[tuple[int, int]], root: int) -> dict[int, list[int]]:
+            closures: list[tuple[int, int]],
+            root: int) -> tuple[dict[int, list[int]], dict[int, int]]:
     """Choose per-atom child orders such that every closure's placement
-    offset lands in [2, MAX_RING_OFFSET]."""
+    offset lands in [2, MAX_RING_OFFSET]; returns the child orders and
+    each atom's placement."""
     adj: dict[int, list[int]] = {i: [] for i in range(g.n_atoms)}
     for a, b in tree:
         adj[a].append(b)
@@ -446,7 +439,7 @@ def _layout(g: MolecularGraph, tree: set[tuple[int, int]],
     pos = placements()
     bad = conflicts(pos)
     if not bad:
-        return children
+        return children, pos
     # local repair: permute child orders at ancestors of the conflicting
     # closure endpoints (bounded search)
     parents: dict[int, int] = {root: -1}
@@ -475,7 +468,7 @@ def _layout(g: MolecularGraph, tree: set[tuple[int, int]],
             children[node] = list(perm)
             pos = placements()
             if not conflicts(pos):
-                return children
+                return children, pos
         children[node] = original
     raise _LayoutConflict(
         f"ring closure offset outside [2, {MAX_RING_OFFSET}] for every ordering tried")
@@ -485,13 +478,7 @@ _ATOM_SYMBOL: dict[tuple[str, int], int] = {v: k for k, v in ATOM_INFO.items()}
 
 
 def _emit(g: MolecularGraph, root: int, children: dict[int, list[int]],
-          closures: list[tuple[int, int]]) -> list[int]:
-    pos: dict[int, int] = {}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        pos[u] = len(pos)
-        stack.extend(reversed(children[u]))
+          pos: dict[int, int], closures: list[tuple[int, int]]) -> list[int]:
     # each closure is emitted at its later-placed endpoint
     closing_at: dict[int, list[int]] = {}
     for a, b in closures:

@@ -185,23 +185,10 @@ class EvolverConfig:
             raise ValueError(f"unknown parent_selection {self.parent_selection!r}")
 
 
-@dataclass
-class RunResult:
-    logs: list[GenerationLog]
-    archive: list[ArchiveEntry]
-    best_trace: list[float]  # best-ever objective after each generation
-    beta_trace: list[float]
-    population: list[Individual]
-    snapshots: dict[int, list[tuple[str, float]]]  # gen -> (genotype, score)
-    model: DiscriminatorModel | None = None
-
-    @property
-    def best(self) -> ArchiveEntry:
-        return self.archive[0]
-
-
 class Evolver:
-    """Mutable run state; step() advances one generation."""
+    """The run's state: its inputs, the RNG stream, the discriminator, the
+    population, the archive and the per-generation traces. `initialize()`
+    starts generation 0 and `step()` advances one generation."""
 
     def __init__(self, config: EvolverConfig, reference: ReferenceSet,
                  objective: Objective | None = None):
@@ -214,10 +201,17 @@ class Evolver:
             init_model(self.rng, reference.feature_stats) if config.use_discriminator else None)
         self.population: list[Individual] = []
         self.archive: dict[str, ArchiveEntry] = {}
-        self.generation = 0
-        self.best_trace: list[float] = []
-        self.beta_trace: list[float] = []
-        self.n_ref_samples_last = 0
+        self.best_trace: list[float] = []  # best-ever objective after each generation
+        self.logs: list[GenerationLog] = []
+        self.snapshots: dict[int, list[tuple[str, float]]] = {}  # gen -> (genotype, score)
+
+    @property
+    def generation(self) -> int:
+        return len(self.logs) - 1
+
+    @property
+    def beta_trace(self) -> list[float]:
+        return [log.beta for log in self.logs]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -247,6 +241,10 @@ class Evolver:
     def archive_sorted(self) -> list[ArchiveEntry]:
         return sorted(self.archive.values(), key=lambda e: (-e.score, e.canonical))
 
+    @property
+    def best(self) -> ArchiveEntry:
+        return min(self.archive.values(), key=lambda e: (-e.score, e.canonical))
+
     def best_ever(self) -> float:
         return max(e.score for e in self.archive.values())
 
@@ -261,24 +259,7 @@ class Evolver:
         else:
             genotypes = [Genotype(bytes((Symbol.C,)))] * cfg.population_size
         self.population = [self._evaluate(g) for g in genotypes]
-        self._refresh_d_scores()
-        self._update_archive(self.population)
-        self.best_trace = [self.best_ever()]
-        beta = next_beta(cfg.schedule, 0, [])
-        self.beta_trace = [beta]
-        for ind in self.population:
-            ind.fitness = fitness(ind.score, ind.d, beta)
-        return self._log(beta, n_replaced=0)
-
-    def _refresh_d_scores(self) -> None:
-        if self.model is not None:
-            feats = np.stack([ind.features for ind in self.population])
-            d = predict(self.model, feats)
-            for ind, val in zip(self.population, d):
-                ind.d = float(val)
-        else:
-            for ind in self.population:
-                ind.d = 0.0
+        return self._end_generation(next_beta(cfg.schedule, 0, []), self.population, 0)
 
     def step(self, beta: float) -> GenerationLog:
         """One generation: select, refill, evaluate, train, archive."""
@@ -317,22 +298,26 @@ class Evolver:
         if self.model is not None:
             ga_feats = np.stack([ind.features for ind in pop])
             ref_idx = [self.rng.randrange(len(self.reference)) for _ in range(n)]
-            self.n_ref_samples_last = len(ref_idx)
-            ref_feats = self.reference.features[ref_idx]
-            train(self.model, ga_feats, ref_feats, rng=self.rng)
-        self._refresh_d_scores()
+            train(self.model, ga_feats, self.reference.features[ref_idx], rng=self.rng)
+        return self._end_generation(beta, children, len(killed))
 
-        self._update_archive(children)
-        self.generation += 1
-        self.best_trace.append(self.best_ever())
-        self.beta_trace.append(beta)
-        return self._log(beta, n_replaced=len(killed))
-
-    def _log(self, beta: float, n_replaced: int) -> GenerationLog:
+    def _end_generation(self, beta: float, new: list[Individual],
+                        n_replaced: int) -> GenerationLog:
+        """Score D and fitness at this generation's beta, archive the new
+        members, and record the generation's trace, log and snapshot."""
         pop = self.population
+        if self.model is not None:
+            d = predict(self.model, np.stack([ind.features for ind in pop]))
+            for ind, val in zip(pop, d):
+                ind.d = float(val)
+        for ind in pop:
+            ind.fitness = fitness(ind.score, ind.d, beta)
+        self._update_archive(new)
+        self.best_trace.append(self.best_ever())
+        gen = len(self.logs)
         best = max(pop, key=lambda i: i.score)
-        return GenerationLog(
-            generation=self.generation,
+        log = GenerationLog(
+            generation=gen,
             max_j=best.score,
             mean_j=sum(i.score for i in pop) / len(pop),
             max_f=max(i.fitness for i in pop),
@@ -341,46 +326,24 @@ class Evolver:
             n_replaced=n_replaced,
             best_canonical=best.canonical,
         )
+        self.logs.append(log)
+        every = self.config.snapshot_every
+        if every and gen % every == 0:
+            self.snapshots[gen] = [(i.genotype.text(), i.score) for i in pop]
+        return log
 
 
 def run(config: EvolverConfig, reference: ReferenceSet,
         objective: Objective | None = None,
-        log_callback: Callable[[GenerationLog], None] | None = None,
-        stop_condition: Callable[[Evolver], bool] | None = None) -> RunResult:
-    """Drive an Evolver for the configured number of generations.
+        stop_condition: Callable[[Evolver], bool] | None = None) -> Evolver:
+    """Run an Evolver for the configured number of generations and return it.
 
     `stop_condition` is checked after every generation and ends the run
     early when it returns True (used by target-seeking tasks).
     """
     ev = Evolver(config, reference, objective)
-    logs = [ev.initialize()]
-    snapshots: dict[int, list[tuple[str, float]]] = {}
-
-    def snap() -> None:
-        if config.snapshot_every and ev.generation % config.snapshot_every == 0:
-            snapshots[ev.generation] = [
-                (i.genotype.text(), i.score) for i in ev.population
-            ]
-
-    snap()
-    if log_callback:
-        log_callback(logs[0])
-    if not (stop_condition is not None and stop_condition(ev)):
-        for t in range(1, config.generations + 1):
-            beta = next_beta(config.schedule, t, ev.best_trace)
-            entry = ev.step(beta)
-            logs.append(entry)
-            snap()
-            if log_callback:
-                log_callback(entry)
-            if stop_condition is not None and stop_condition(ev):
-                break
-    return RunResult(
-        logs=logs,
-        archive=ev.archive_sorted(),
-        best_trace=list(ev.best_trace),
-        beta_trace=list(ev.beta_trace),
-        population=ev.population,
-        snapshots=snapshots,
-        model=ev.model,
-    )
+    ev.initialize()
+    while ev.generation < config.generations and not (
+            stop_condition is not None and stop_condition(ev)):
+        ev.step(next_beta(config.schedule, ev.generation + 1, ev.best_trace))
+    return ev

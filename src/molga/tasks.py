@@ -15,7 +15,7 @@ import numpy as np
 from .codec import (
     Genotype, UnencodableGraph, decode, encode, parse_genotype, random_genotype,
 )
-from .evolver import EvolverConfig, RunResult, run
+from .evolver import Evolver, EvolverConfig, run
 from .graph import MolecularGraph, canonical_length_in, tanimoto
 from .graph import fingerprint  # noqa: F401 (bench/tests reads tasks.fingerprint)
 from .props import PropertyRecord, penalized_logp
@@ -36,10 +36,10 @@ def _nth_run(config: EvolverConfig, k: int) -> EvolverConfig:
     return replace(config, seed=config.seed * 1_000_003 + k)
 
 
-def first_trigger_generation(result: RunResult, high: float) -> int | None:
-    for gen, beta in enumerate(result.beta_trace):
-        if beta == high:
-            return gen
+def first_trigger_generation(result: Evolver, high: float) -> int | None:
+    for log in result.logs:
+        if log.beta == high:
+            return log.generation
     return None
 
 
@@ -97,7 +97,7 @@ def run_constrained(reference_graph: MolecularGraph, ref: ReferenceSet,
     result = run(config, ref, objective)
 
     best = None
-    for entry in result.archive:
+    for entry in result.archive_sorted():
         # decode() may return a cached graph that carries the fingerprint
         # the objective memoized; a new graph recomputes it
         graph = decode(parse_genotype(entry.genotype_text))
@@ -276,7 +276,7 @@ def run_property_target_batch(ref: ReferenceSet, config: EvolverConfig, *,
 
 @dataclass
 class LogpQedResult:
-    run: RunResult
+    run: Evolver
     archive_scatter: list[tuple[float, float]]  # (logp_raw, qed) per archive entry
 
 
@@ -290,7 +290,7 @@ def run_logp_qed(ref: ReferenceSet, config: EvolverConfig, *, w_j: float = 1.0,
         return w_j * record.j + w_qed * record.qed
 
     result = run(_without_discriminator(config), ref, objective)
-    archive_scatter = [(e.record.logp_raw, e.record.qed) for e in result.archive]
+    archive_scatter = [(e.record.logp_raw, e.record.qed) for e in result.archive_sorted()]
     return LogpQedResult(result, archive_scatter)
 
 

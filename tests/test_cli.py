@@ -297,6 +297,31 @@ class TestSubcommands:
         assert code == 1
         assert err.startswith(f"error: {key} must")
 
+    @pytest.mark.parametrize("argv,key", [
+        (["run", "--threads", "0"], "threads"),
+        (["run", "--threads", "-3"], "threads"),
+        (["run", "--synthetic-reference", "0"], "reference"),
+        (["sweep", "--threads", "0"], "threads"),
+    ])
+    def test_override_checked_like_the_file(self, capsys, tmp_path, argv, key):
+        # a command-line override passes the checks the same key gets in the file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"reference": {"synthetic": 120}, "population_size": 5,
+                                   "generations": 1}))
+        code, _, err = _run_cli([argv[0], str(cfg), *argv[1:]], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {key} must")
+
+    def test_synthetic_reference_override_reaches_the_report(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"population_size": 5, "generations": 1}))
+        out = tmp_path / "o"
+        code, _, _ = _run_cli(["run", str(cfg), "--out", str(out),
+                               "--synthetic-reference", "130"], capsys)
+        assert code == 0
+        report = json.loads((out / "run_report.json").read_text())
+        assert report["config"]["reference"] == report["reference"] == {"synthetic": 130}
+
     def test_run_missing_reference(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"reference": "/absent/file.smi"}))

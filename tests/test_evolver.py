@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from molga import evolver
 from molga.codec import Genotype, Symbol, decode, parse_genotype
 from molga.evolver import (
     Evolver,
@@ -152,14 +153,22 @@ class TestStep:
         result = run(cfg, ref)
         assert len(result.population) == 37
 
-    def test_reference_sample_count(self, ref):
+    def test_reference_sample_count(self, ref, monkeypatch):
         cfg = EvolverConfig(population_size=25, generations=1,
                             schedule=BetaSchedule.const(5.0),
                             use_discriminator=True, seed=3)
+        ref_rows = []
+        train = evolver.train
+
+        def counting_train(model, ga_feats, ref_feats, rng):
+            ref_rows.append(len(ref_feats))
+            return train(model, ga_feats, ref_feats, rng=rng)
+
+        monkeypatch.setattr(evolver, "train", counting_train)
         ev = Evolver(cfg, ref)
         ev.initialize()
         ev.step(5.0)
-        assert ev.n_ref_samples_last == 25
+        assert ref_rows == [25]
 
     def test_ages_update(self, ref):
         cfg = EvolverConfig(population_size=30, generations=0,
@@ -174,14 +183,29 @@ class TestStep:
         assert len(survivors) == 30 - log.n_replaced
 
 
+class TestGenerationLog:
+    @pytest.mark.parametrize("beta,objective", [
+        (10.0, None),
+        (0.0, lambda graph, record: record.j - 100),
+    ])
+    def test_max_f_is_the_best_fitness_of_the_logged_population(self, ref, beta, objective):
+        cfg = EvolverConfig(population_size=30, generations=4,
+                            schedule=BetaSchedule.const(beta),
+                            use_discriminator=beta > 0, seed=7)
+        ev = Evolver(cfg, ref, objective)
+        for gen in range(5):
+            log = ev.step(beta) if gen else ev.initialize()
+            assert log.max_f == pytest.approx(max(i.score + beta * i.d for i in ev.population))
+
+
 class TestRun:
     def test_zero_generations_archive_is_methane(self, ref):
         cfg = EvolverConfig(population_size=10, generations=0,
                             schedule=BetaSchedule.const(0.0), seed=0)
         result = run(cfg, ref)
         assert len(result.archive) == 1
-        assert result.archive[0].canonical == "C"
-        assert result.best_trace[-1] == pytest.approx(result.archive[0].score)
+        assert result.best.canonical == "C"
+        assert result.best_trace[-1] == pytest.approx(result.best.score)
 
     def test_fixed_seed_reproducible(self, ref):
         cfg = EvolverConfig(population_size=40, generations=10,
@@ -191,7 +215,8 @@ class TestRun:
                              schedule=BetaSchedule.const(0.0), seed=7)
         r2 = run(cfg2, ref)
         assert [l.csv_row() for l in r1.logs] == [l.csv_row() for l in r2.logs]
-        assert [e.canonical for e in r1.archive] == [e.canonical for e in r2.archive]
+        assert ([e.canonical for e in r1.archive_sorted()]
+                == [e.canonical for e in r2.archive_sorted()])
 
     def test_reused_config_reproduces_adaptive_run(self):
         # the schedule keeps no state between runs, so a second run on the

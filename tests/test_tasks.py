@@ -89,7 +89,7 @@ class TestRunConstrained:
 
         def run_then_watch(*args, **kwargs):
             result = run(*args, **kwargs)
-            archive.extend(result.archive)
+            archive.extend(result.archive_sorted())
             monkeypatch.setattr(MolecularGraph, "fingerprint",
                                 lambda g: verified_on.append(g) or original_fingerprint(g))
             return result
