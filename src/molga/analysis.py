@@ -1,8 +1,8 @@
 """Post-hoc population analysis.
 
 K-means over fingerprint bit-vectors (treated as 0/1 reals), 2-component
-PCA via power iteration, pairwise-Tanimoto diversity, and the per-snapshot
-cluster/projection report.
+PCA by eigendecomposition of the covariance, pairwise-Tanimoto diversity,
+and the per-snapshot cluster/projection report.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MolgaError
-from .graph import Fingerprint, tanimoto
+from .graph import FP_BITS, tanimoto
 
 KMEANS_MAX_ITER = 100
-POWER_TOL = 1e-9
-POWER_MAX_ITER = 1000
 
 
 class TooFewPoints(MolgaError):
@@ -34,10 +32,6 @@ class ClusterAssignment:
     labels: np.ndarray  # (n,)
     inertia: float
     inertia_trace: list[float]
-
-    @property
-    def k(self) -> int:
-        return len(self.centroids)
 
     def n_nonempty(self) -> int:
         return len(set(self.labels.tolist()))
@@ -106,84 +100,34 @@ def kmeans(points: np.ndarray, k: int = 20, seed: int = 0) -> ClusterAssignment:
 @dataclass
 class Pca2:
     axes: np.ndarray  # (2, dim), orthonormal
-    mean: np.ndarray
     coords: np.ndarray  # (n, 2)
     explained_variance: np.ndarray  # (2,) eigenvalues, decreasing
     explained_ratio: np.ndarray  # fractions of total variance
 
-    def project(self, points: np.ndarray) -> np.ndarray:
-        return (np.asarray(points, dtype=np.float64) - self.mean) @ self.axes.T
 
-
-def _power_iteration(matvec, dim: int, seed: int) -> tuple[np.ndarray, float]:
-    rng = np.random.RandomState(seed)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(POWER_MAX_ITER):
-        w = matvec(v)
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            # operator is (numerically) zero in this subspace
-            return v, 0.0
-        w /= norm
-        if np.dot(w, v) < 0:
-            w = -w
-        done = np.linalg.norm(w - v) < POWER_TOL
-        v = w
-        lam = float(np.dot(v, matvec(v)))
-        if done:
-            break
-    return v, lam
-
-
-def pca2(points: np.ndarray, seed: int = 0) -> Pca2:
-    """Top-2 principal axes by power iteration with deflation.
+def pca2(points: np.ndarray) -> Pca2:
+    """Top-2 principal axes from one eigendecomposition of the covariance.
 
     Axes are sign-fixed so each one's largest-magnitude coordinate is
     positive; explained variance ratios come in decreasing order.
     """
     points = np.asarray(points, dtype=np.float64)
-    n, dim = points.shape
+    n = len(points)
     if n < 3:
         raise ValueError("need at least 3 points")
-    mean = points.mean(axis=0)
-    x = points - mean
+    x = points - points.mean(axis=0)
     total_var = float((x * x).sum() / n)
     if total_var <= 0.0:
         raise DegenerateData("total variance is zero")
-
-    def cov_mv(v: np.ndarray) -> np.ndarray:
-        return x.T @ (x @ v) / n
-
-    a1, lam1 = _power_iteration(cov_mv, dim, seed=seed)
-
-    def cov_mv_deflated(v: np.ndarray) -> np.ndarray:
-        return cov_mv(v) - lam1 * a1 * np.dot(a1, v)
-
-    a2, lam2 = _power_iteration(cov_mv_deflated, dim, seed=seed + 1)
-    a2 = a2 - a1 * np.dot(a1, a2)
-    norm2 = np.linalg.norm(a2)
-    if norm2 > 1e-12:
-        a2 /= norm2
-    else:
-        # degenerate second direction: any unit vector orthogonal to a1
-        basis = np.eye(dim)
-        idx = int(np.argmin(np.abs(a1)))
-        a2 = basis[idx] - a1 * a1[idx]
-        a2 /= np.linalg.norm(a2)
-        lam2 = 0.0
-    lam2 = max(lam2, 0.0)
-
-    axes = []
-    for a in (a1, a2):
-        peak = int(np.argmax(np.abs(a)))
-        axes.append(-a if a[peak] < 0 else a)
-    axes = np.array(axes)
-    ev = np.array([max(lam1, 0.0), lam2])
+    # eigh returns eigenvalues in increasing order
+    eigvals, eigvecs = np.linalg.eigh(x.T @ x / n)
+    ev = np.maximum(eigvals[:-3:-1], 0.0)
+    axes = eigvecs[:, :-3:-1].T
+    for a in axes:
+        if a[np.argmax(np.abs(a))] < 0:
+            a *= -1.0
     return Pca2(
         axes=axes,
-        mean=mean,
         coords=x @ axes.T,
         explained_variance=ev,
         explained_ratio=ev / total_var,
@@ -194,6 +138,13 @@ EXACT_PAIR_LIMIT = 1000
 SAMPLED_PAIRS = 100_000
 
 
+def bit_matrix(fps: list[int]) -> np.ndarray:
+    """One 0/1 float64 row of FP_BITS columns per fingerprint; bit k is column k."""
+    raw = np.frombuffer(b"".join(fp.to_bytes(FP_BITS // 8, "little") for fp in fps), np.uint8)
+    return np.unpackbits(raw.reshape(len(fps), FP_BITS // 8), axis=1,
+                         bitorder="little").astype(np.float64)
+
+
 @dataclass
 class DiversityReport:
     mean_pairwise_tanimoto: float
@@ -201,14 +152,14 @@ class DiversityReport:
     exact: bool
 
 
-def mean_pairwise_tanimoto(fps: list[Fingerprint], seed: int = 0) -> tuple[float, bool]:
+def mean_pairwise_tanimoto(fps: list[int], seed: int = 0) -> tuple[float, bool]:
     """Exact mean over all pairs up to EXACT_PAIR_LIMIT molecules, otherwise
     a seeded sample of SAMPLED_PAIRS distinct index pairs."""
     n = len(fps)
     if n < 2:
         raise ValueError("need at least 2 fingerprints")
     if n <= EXACT_PAIR_LIMIT:
-        mat = np.stack([fp.to_array() for fp in fps])
+        mat = bit_matrix(fps)
         inter = mat @ mat.T
         ones = mat.sum(axis=1)
         union = ones[:, None] + ones[None, :] - inter
@@ -227,12 +178,12 @@ def mean_pairwise_tanimoto(fps: list[Fingerprint], seed: int = 0) -> tuple[float
     return total / SAMPLED_PAIRS, False
 
 
-def diversity(fps: list[Fingerprint], k: int = 20, seed: int = 0) -> DiversityReport:
+def diversity(fps: list[int], k: int = 20, seed: int = 0) -> DiversityReport:
     """Population diversity: mean pairwise Tanimoto plus the number of
     non-empty clusters at k (capped at the population size)."""
     mean_sim, exact = mean_pairwise_tanimoto(fps, seed)
     k_eff = min(k, len(fps))
-    assign = kmeans(np.stack([fp.to_array() for fp in fps]), k=k_eff, seed=seed)
+    assign = kmeans(bit_matrix(fps), k=k_eff, seed=seed)
     return DiversityReport(mean_sim, assign.n_nonempty(), exact)
 
 
@@ -246,7 +197,7 @@ class SnapshotRow:
     y: float
 
 
-def snapshot_report(snapshots: dict[int, list[tuple[str, float, Fingerprint]]],
+def snapshot_report(snapshots: dict[int, list[tuple[str, float, int]]],
                     top_k: int = 50, n_clusters: int = 20,
                     seed: int = 0) -> list[SnapshotRow]:
     """Cluster the top molecules of each snapshot generation and project
@@ -256,14 +207,14 @@ def snapshot_report(snapshots: dict[int, list[tuple[str, float, Fingerprint]]],
     """
     if not snapshots:
         raise ValueError("no snapshots given")
-    selected: dict[int, list[tuple[str, float, Fingerprint]]] = {}
+    selected: dict[int, list[tuple[str, float, int]]] = {}
     for gen, rows in sorted(snapshots.items()):
         ranked = sorted(rows, key=lambda r: (-r[1], r[0]))
         selected[gen] = ranked[:top_k]
     all_fps = [fp for rows in selected.values() for (_, _, fp) in rows]
-    mat = np.stack([fp.to_array() for fp in all_fps])
+    mat = bit_matrix(all_fps)
     try:
-        proj = pca2(mat, seed=seed)
+        proj = pca2(mat)
         coords = proj.coords
     except DegenerateData:
         coords = np.zeros((len(all_fps), 2))

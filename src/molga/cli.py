@@ -103,7 +103,7 @@ def parse_config(doc: dict) -> dict:
     unknown = set(doc) - set(_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if out["task"] not in _RUNNERS:
+    if not isinstance(out["task"], str) or out["task"] not in _RUNNERS:
         raise ConfigError(f"unknown task {out['task']!r}; expected one of {tuple(_RUNNERS)}")
     if not _is_int(out["seed"]):
         raise ConfigError("seed must be an integer")
@@ -112,6 +112,11 @@ def parse_config(doc: dict) -> dict:
             or isinstance(source, dict) and set(source) == {"synthetic"}
             and _is_int(source["synthetic"]) and source["synthetic"] >= 1):
         raise ConfigError('reference must be null, a path, or {"synthetic": N} with N >= 1')
+    for name, value in (("output_dir", out["output_dir"]),
+                        ("initial_population", out["initial_population"]),
+                        ("constrained.reference_smiles", out["constrained"]["reference_smiles"])):
+        if not (value is None or isinstance(value, str)):
+            raise ConfigError(f"{name} must be null or a string")
     for key in ("population_size", "generations", "max_canonical_len",
                 "max_genotype_len", "archive_k", "snapshot_every", "threads",
                 "elite_count"):
@@ -140,6 +145,9 @@ def parse_config(doc: dict) -> dict:
                           for k in ("low", "high", "epsilon"))):
         if not _is_number(value):
             raise ConfigError(f"{name} must be a number")
+    for key in ("w_j", "w_qed"):
+        if out["logp_qed"][key] < 0:
+            raise ConfigError(f"logp_qed.{key} must be >= 0")
     if out["adaptive"]["low"] > out["adaptive"]["high"]:
         raise ConfigError("adaptive.low must be <= adaptive.high")
     if not (_is_number(out["top_fraction"]) and 0 < out["top_fraction"] <= 1):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -122,11 +121,6 @@ class Individual:
     def canonical(self) -> str:
         # rendered on first read: most children never reach the archive
         return self.graph.canonical()
-
-    @cached_property
-    def features(self) -> np.ndarray:
-        # computed on first use: runs without a discriminator never read it
-        return featurize(self.graph)
 
 
 @dataclass(frozen=True)
@@ -296,7 +290,7 @@ class Evolver:
             pop[i].age += 1
 
         if self.model is not None:
-            ga_feats = np.stack([ind.features for ind in pop])
+            ga_feats = np.stack([featurize(ind.graph) for ind in pop])
             ref_idx = [self.rng.randrange(len(self.reference)) for _ in range(n)]
             train(self.model, ga_feats, self.reference.features[ref_idx], rng=self.rng)
         return self._end_generation(beta, children, len(killed))
@@ -307,7 +301,7 @@ class Evolver:
         members, and record the generation's trace, log and snapshot."""
         pop = self.population
         if self.model is not None:
-            d = predict(self.model, np.stack([ind.features for ind in pop]))
+            d = predict(self.model, np.stack([featurize(ind.graph) for ind in pop]))
             for ind, val in zip(pop, d):
                 ind.d = float(val)
         for ind in pop:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 import struct
-from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
@@ -41,9 +40,6 @@ ELEMENTS: tuple[str, ...] = ("C", "N", "O", "S", "P", "F")
 # and a 60-generation paper config with 5,372.
 _SHARED_SIZE = 1 << 15
 _shared: dict[tuple, tuple] = {}
-
-# Memo key of the default fingerprint, one object for every graph.
-_FP_KEY = ("fp", 2, 1024)
 
 
 class UnsupportedFeature(MolgaError):
@@ -169,9 +165,8 @@ class MolecularGraph:
     def canonical(self) -> str:
         return self.memo("canonical", _canonical_string)
 
-    def fingerprint(self, radius: int = 2, nbits: int = 1024) -> "Fingerprint":
-        key = _FP_KEY if radius == 2 and nbits == 1024 else ("fp", radius, nbits)
-        return self.memo(key, lambda g: _fingerprint(g, radius, nbits))
+    def fingerprint(self) -> int:
+        return self.memo("fingerprint", _fingerprint)
 
 
 def methane() -> MolecularGraph:
@@ -883,6 +878,12 @@ def _kekulize(elements: list[str], aromatic: list[bool],
 # Circular fingerprints and Tanimoto similarity
 # ---------------------------------------------------------------------------
 
+# A fingerprint is an int in which bit k is on when some atom environment of
+# up to FP_RADIUS bonds hashes to k mod FP_BITS; `analysis.bit_matrix` gives
+# the 0/1 array form.
+FP_RADIUS = 2
+FP_BITS = 1024
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
@@ -915,25 +916,10 @@ def _hash_ints(values: Iterable[int]) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    """Folded circular fingerprint of nbits bits: bit k of `bits` is on
-    when index k is."""
-
-    nbits: int
-    bits: int
-
-    def to_array(self):
-        import numpy as np
-
-        raw = np.frombuffer(self.bits.to_bytes((self.nbits + 7) // 8, "little"), np.uint8)
-        return np.unpackbits(raw, count=self.nbits, bitorder="little").astype(np.float64)
-
-
 _ELEMENT_CODE = {el: k for k, el in enumerate(ELEMENTS)}
 
 
-def _fingerprint(g: MolecularGraph, radius: int, nbits: int) -> Fingerprint:
+def _fingerprint(g: MolecularGraph) -> int:
     ring = g.ring_atoms()
     inv = [
         _hash_ints((_ELEMENT_CODE[el], deg, max(VALENCE[el] - osum, 0), 1 if i in ring else 0))
@@ -941,26 +927,24 @@ def _fingerprint(g: MolecularGraph, radius: int, nbits: int) -> Fingerprint:
     ]
     bits = 0
     for h in inv:
-        bits |= 1 << (h % nbits)
-    for _ in range(radius):
+        bits |= 1 << (h % FP_BITS)
+    for _ in range(FP_RADIUS):
         # an atom's invariant, then its (bond order, neighbor invariant) pairs in order
         inv = [_hash_ints((inv[i], *chain.from_iterable(sorted((o, inv[v]) for v, o in row))))
                for i, row in enumerate(g._adj)]
         for h in inv:
-            bits |= 1 << (h % nbits)
-    return Fingerprint(nbits, bits)
+            bits |= 1 << (h % FP_BITS)
+    return bits
 
 
-def fingerprint(g: MolecularGraph, radius: int = 2, nbits: int = 1024) -> Fingerprint:
+def fingerprint(g: MolecularGraph) -> int:
     """ECFP-style circular fingerprint with FNV-1a hashed neighborhoods."""
-    return g.fingerprint(radius, nbits)
+    return g.fingerprint()
 
 
-def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
+def tanimoto(a: int, b: int) -> float:
     """On-bit intersection over union; 1.0 when both are empty."""
-    if a.nbits != b.nbits:
-        raise ValueError(f"fingerprint sizes differ: {a.nbits} vs {b.nbits}")
-    union = (a.bits | b.bits).bit_count()
+    union = (a | b).bit_count()
     if not union:
         return 1.0
-    return (a.bits & b.bits).bit_count() / union
+    return (a & b).bit_count() / union

@@ -290,7 +290,7 @@ class TestCriterion12AnalysisOracles:
                                zip(out.inertia_trace, out.inertia_trace[1:]))
 
         data = rng.standard_normal((400, 12)) @ np.diag(np.linspace(3.0, 0.5, 12))
-        p = pca2(data, seed=0)
+        p = pca2(data)
         cov = np.cov(data.T, bias=True)
         eig = np.sort(np.linalg.eigvalsh(cov))[::-1]
         pca_ok = (abs(p.explained_variance[0] - eig[0]) / eig[0] < 1e-6

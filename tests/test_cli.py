@@ -40,6 +40,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config({"task": "nope"})
 
+    @pytest.mark.parametrize("task", [["unconstrained"], {"a": 1}])
+    def test_task_of_wrong_type_rejected(self, task):
+        with pytest.raises(ConfigError, match="^unknown task"):
+            parse_config({"task": task})
+
     def test_round_trip_idempotent(self):
         cfg = parse_config({"population_size": 64, "beta": 5.0})
         again = parse_config(json.loads(json.dumps(cfg)))
@@ -93,6 +98,13 @@ class TestConfig:
         ({"reference": {}}, "reference"),
         ({"reference": 120}, "reference"),
         ({"reference": ["ref.smi"]}, "reference"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"initial_population": ["x"]}, "initial_population"),
+        ({"initial_population": True}, "initial_population"),
+        ({"task": "constrained_similarity", "constrained": {"reference_smiles": 5}},
+         "constrained.reference_smiles"),
+        ({"task": "logp_qed", "logp_qed": {"w_j": -1}}, "logp_qed.w_j"),
+        ({"task": "logp_qed", "logp_qed": {"w_qed": -0.5}}, "logp_qed.w_qed"),
     ])
     def test_nonsense_value_rejected(self, doc, key):
         with pytest.raises(ConfigError, match=f"^{key} must"):

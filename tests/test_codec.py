@@ -311,7 +311,7 @@ def memoized(mol):
 def computed(mol):
     """The same values, each computed directly rather than read from the memo."""
     return (_canonical_string(mol), _minimum_cycle_basis(mol), _logp_raw(mol), _sa_raw(mol),
-            _ring_penalty_raw(mol), _qed(mol), _fingerprint(mol, 2, 1024), tuple(_featurize(mol)))
+            _ring_penalty_raw(mol), _qed(mol), _fingerprint(mol), tuple(_featurize(mol)))
 
 
 class TestStructureTable:

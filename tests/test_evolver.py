@@ -5,6 +5,7 @@ import pytest
 
 from molga import evolver
 from molga.codec import Genotype, Symbol, decode, parse_genotype
+from molga.discriminator import featurize
 from molga.evolver import (
     Evolver,
     EvolverConfig,
@@ -45,9 +46,9 @@ class TestFeatures:
         a = ev._evaluate(parse_genotype("[C][C][Branch1][C][O][N]"))
         b = ev._evaluate(parse_genotype("[C][C][Branch1][C][O][N]"))
         assert a is not b and a.graph is b.graph
-        assert a.features is b.features
+        assert featurize(a.graph) is featurize(b.graph)
         with pytest.raises(ValueError):
-            a.features[0] = 0.5
+            featurize(a.graph)[0] = 0.5
 
 
 class TestKillProbabilities:

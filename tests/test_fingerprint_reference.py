@@ -2,24 +2,25 @@
 the set-based versions they replaced.
 
 The references keep the on bits as a `frozenset` of indices, take the
-Tanimoto similarity from set intersection and union, and fill `to_array`
+Tanimoto similarity from set intersection and union, and fill the 0/1 array
 by fancy indexing. The code in `molga` keeps the bits as one int; it must
-give the same on bits, bit-equal similarities and equal arrays.
+give the same on bits, bit-equal similarities and, through
+`analysis.bit_matrix`, equal arrays.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import chain, product
+from itertools import chain
 
 import numpy as np
 import pytest
 
+from molga.analysis import bit_matrix
 from molga.codec import decode, random_genotype
 from molga.graph import (
     _ELEMENT_CODE,
     VALENCE,
-    Fingerprint,
     MolecularGraph,
     _atom_invariants,
     _hash_ints,
@@ -67,24 +68,26 @@ def reference_to_array(bits: frozenset[int], nbits: int) -> np.ndarray:
 # Comparisons
 # ---------------------------------------------------------------------------
 
-SETTINGS = list(product((0, 2, 3), (64, 1024)))
+# molga's one setting; the references take it as arguments
+SETTINGS = [(2, 1024)]
 
 
-def on_bits(fp: Fingerprint) -> list[int]:
-    return [k for k in range(fp.nbits) if fp.bits >> k & 1]
+def on_bits(fp: int) -> list[int]:
+    return [k for k in range(fp.bit_length()) if fp >> k & 1]
 
 
 def assert_same_as_reference(mols: list[MolecularGraph], radius: int, nbits: int) -> None:
     # fresh graphs, so nothing is read from a memo filled elsewhere
     fresh = [MolecularGraph(m.elements, m.bond_list) for m in mols]
-    new = [g.fingerprint(radius, nbits) for g in fresh]
+    new = [g.fingerprint() for g in fresh]
     old = [reference_fingerprint(g, radius, nbits) for g in fresh]
     for fp, ref in zip(new, old):
-        assert fp.nbits == nbits
         assert on_bits(fp) == sorted(ref)
-        arr = fp.to_array()
-        assert arr.dtype == np.float64
-        assert np.array_equal(arr, reference_to_array(ref, nbits))
+    # all rows at once, so row order and reshaping are checked too
+    mat = bit_matrix(new)
+    assert mat.dtype == np.float64 and mat.shape == (len(new), nbits)
+    for row, ref in zip(mat, old):
+        assert np.array_equal(row, reference_to_array(ref, nbits))
     # each molecule against the next, and against the first as a start
     # molecule of the constrained task
     for i in range(len(new)):
@@ -113,9 +116,9 @@ def test_random_decodes(random_decodes, radius, nbits):
 
 
 def test_empty_fingerprints():
-    empty = Fingerprint(64, 0)
+    empty, one = 0, 1 << 1023
     assert tanimoto(empty, empty) == reference_tanimoto(frozenset(), frozenset()) == 1.0
-    assert np.array_equal(empty.to_array(), reference_to_array(frozenset(), 64))
-    one = Fingerprint(64, 1 << 63)
-    assert tanimoto(empty, one) == reference_tanimoto(frozenset(), frozenset({63})) == 0.0
-    assert np.array_equal(one.to_array(), reference_to_array(frozenset({63}), 64))
+    assert tanimoto(empty, one) == reference_tanimoto(frozenset(), frozenset({1023})) == 0.0
+    empty_row, one_row = bit_matrix([empty, one])
+    assert np.array_equal(empty_row, reference_to_array(frozenset(), 1024))
+    assert np.array_equal(one_row, reference_to_array(frozenset({1023}), 1024))

@@ -15,9 +15,7 @@ class TestEndToEndRecovery:
     def test_trigger_drop_and_recovery(self, fresh_sample_reference):
         from collections import Counter
 
-        import numpy as np
-
-        from molga.analysis import kmeans
+        from molga.analysis import bit_matrix, kmeans
         from molga.codec import decode, parse_genotype
         from molga.evolver import EvolverConfig, run
 
@@ -47,10 +45,9 @@ class TestEndToEndRecovery:
 
         def top50(gen):
             rows = sorted(result.snapshots[gen], key=lambda r: -r[1])[:50]
-            return [decode(parse_genotype(gt)).fingerprint().to_array()
-                    for gt, _ in rows]
+            return [decode(parse_genotype(gt)).fingerprint() for gt, _ in rows]
 
-        pts = np.stack(top50(pre_gen) + top50(post_gen))
+        pts = bit_matrix(top50(pre_gen) + top50(post_gen))
         out = kmeans(pts, k=20, seed=0)
         pre_major = Counter(out.labels[:50].tolist()).most_common(1)[0][0]
         post_major = Counter(out.labels[50:].tolist()).most_common(1)[0][0]
