@@ -17,7 +17,7 @@ import time
 from dataclasses import asdict
 from typing import Any
 
-from . import analysis, tasks
+from . import tasks
 from .codec import decode, encode, parse_genotype
 from .discriminator import save_checkpoint
 from .errors import MolgaError
@@ -400,6 +400,8 @@ def _load_run_config(args, task: str | None = None) -> tuple[dict, str | None]:
     overrides written in, parsed, and the output directory."""
     with open(args.config) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
     if task is not None:
         doc["task"] = task
     if args.seed is not None:
@@ -466,6 +468,8 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import analysis  # numpy; only this command loads it
+
     report_path = os.path.join(args.run_dir, "run_report.json")
     if not os.path.exists(report_path):
         print(f"error: no run_report.json in {args.run_dir}", file=sys.stderr)

@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import Iterable
 
 from .errors import MolgaError
 from .graph import MolecularGraph
@@ -28,6 +27,22 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 BATCH_SIZE = 32
 EPOCHS = 10
+
+
+class _Numpy:
+    """Stands in for numpy until its first attribute read, which imports
+    numpy and rebinds this module's `np` to it: later reads cost nothing,
+    and a run that never featurizes, trains or scores never loads numpy."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _Numpy()
 
 
 class NonFiniteLoss(MolgaError):
@@ -88,6 +103,11 @@ def featurize(g: MolecularGraph) -> np.ndarray:
     """16-dimensional topological/property descriptor vector, computed once
     per graph. Read-only: every individual holding the graph shares it."""
     return g.memo("features", _featurize)
+
+
+def stack_features(graphs: Iterable[MolecularGraph]) -> np.ndarray:
+    """One featurize(g) row per graph, in order."""
+    return np.stack([featurize(g) for g in graphs])
 
 
 def _featurize(g: MolecularGraph) -> np.ndarray:

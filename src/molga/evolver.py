@@ -20,10 +20,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .codec import N_SYMBOLS, PHENYL_SYMBOLS, Genotype, Symbol, decode
-from .discriminator import DiscriminatorModel, featurize, init_model, predict, train
+from .discriminator import DiscriminatorModel, init_model, predict, stack_features, train
 from .graph import MolecularGraph, canonical_length_in
 from .props import PropertyRecord, penalized_logp
 from .reference import ReferenceSet
@@ -290,7 +288,7 @@ class Evolver:
             pop[i].age += 1
 
         if self.model is not None:
-            ga_feats = np.stack([featurize(ind.graph) for ind in pop])
+            ga_feats = stack_features(ind.graph for ind in pop)
             ref_idx = [self.rng.randrange(len(self.reference)) for _ in range(n)]
             train(self.model, ga_feats, self.reference.features[ref_idx], rng=self.rng)
         return self._end_generation(beta, children, len(killed))
@@ -301,7 +299,7 @@ class Evolver:
         members, and record the generation's trace, log and snapshot."""
         pop = self.population
         if self.model is not None:
-            d = predict(self.model, np.stack([featurize(ind.graph) for ind in pop]))
+            d = predict(self.model, stack_features(ind.graph for ind in pop))
             for ind, val in zip(pop, d):
                 ind.d = float(val)
         for ind in pop:

@@ -13,10 +13,8 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .codec import decode, random_genotype
-from .discriminator import FeatureStats, featurize
+from .discriminator import FeatureStats, stack_features
 from .errors import MolgaError
 from .graph import MolecularGraph, canonical_length_in, parse_smiles
 from .props import EmptyReference, NormStats, PropertyRecord, fit_norm, penalized_logp
@@ -50,8 +48,9 @@ class ReferenceSet:
         return len(self.graphs)
 
     @cached_property
-    def features(self) -> np.ndarray:
-        return np.stack([featurize(g) for g in self.graphs])
+    def features(self):
+        """A (len, N_FEATURES) numpy array, one row per reference graph."""
+        return stack_features(self.graphs)
 
     @cached_property
     def feature_stats(self) -> FeatureStats:

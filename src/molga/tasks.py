@@ -7,10 +7,12 @@ driver: they are `evolver.run` on the caller's config."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
-
-import numpy as np
+from functools import reduce
+from operator import add
+from typing import Sequence
 
 from .codec import (
     Genotype, UnencodableGraph, decode, encode, parse_genotype, random_genotype,
@@ -295,6 +297,69 @@ def run_logp_qed(ref: ReferenceSet, config: EvolverConfig, *, w_j: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
+# Summary statistics, in pure Python with numpy's exact bits
+# ---------------------------------------------------------------------------
+
+
+def _pairwise_sum(v: Sequence[float], lo: int, n: int) -> float:
+    """numpy's pairwise sum of v[lo:lo + n]: a plain loop below 8
+    elements, eight strided accumulators up to 128, else two halves split
+    at a multiple of 8."""
+    if n < 8:
+        return reduce(add, v[lo:lo + n], 0.0)
+    if n <= 128:
+        end = lo + n - n % 8
+        r = [reduce(add, v[j:end:8]) for j in range(lo, lo + 8)]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in v[end:lo + n]:
+            res += x
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_sum(v, lo, n2) + _pairwise_sum(v, lo + n2, n - n2)
+
+
+def _np_sum(values: Sequence[float]) -> float:
+    """`np.add.reduce` of a float64 array, bit for bit: the pairwise sum
+    added to the identity 0.0, so that a sum of -0.0 is 0.0."""
+    return 0.0 + _pairwise_sum(values, 0, len(values))
+
+
+def mean(values: Sequence[float]) -> float:
+    """`np.mean`, bit for bit."""
+    return _np_sum(values) / len(values)
+
+
+def std(values: Sequence[float]) -> float:
+    """`np.std` (population, ddof 0), bit for bit."""
+    m = mean(values)
+    return math.sqrt(_np_sum([(x - m) * (x - m) for x in values]) / len(values))
+
+
+def histogram(values: Sequence[float], bins: int) -> tuple[list[int], list[float]]:
+    """`np.histogram(values, bins)` as (counts, edges), bit for bit: edges
+    from np.linspace over [min, max] (widened by 0.5 each way when they are
+    equal), and numpy's uniform-bin index with its two edge corrections."""
+    first, last = min(values), max(values)
+    if not (math.isfinite(first) and math.isfinite(last)):
+        raise ValueError(f"autodetected range of [{first}, {last}] is not finite")
+    if first == last:
+        first, last = first - 0.5, last + 0.5
+    width = last - first
+    step = width / bins
+    edges = [i * step + first for i in range(bins)] + [last]
+    counts = [0] * bins
+    for x in values:
+        i = min(int((x - first) / width * bins), bins - 1)
+        if x < edges[i]:
+            i -= 1
+        elif i != bins - 1 and x >= edges[i + 1]:
+            i += 1
+        counts[i] += 1
+    return counts, edges
+
+
+# ---------------------------------------------------------------------------
 # Random baseline
 # ---------------------------------------------------------------------------
 
@@ -335,15 +400,12 @@ def run_random_baseline(ref: ReferenceSet, n: int, seed: int = 0, *,
         if j > best_j:
             best_j = j
             best = (graph, genotype)
-    arr = np.array(values)
-    counts, edges = np.histogram(arr, bins=50)
+    counts, edges = histogram(values, 50)
     assert best is not None
     return BaselineResult(
-        n=n, max_j=float(arr.max()), mean_j=float(arr.mean()),
-        std_j=float(arr.std()), best_canonical=best[0].canonical(),
-        best_genotype=best[1].text(),
-        histogram_edges=[float(e) for e in edges],
-        histogram_counts=[int(c) for c in counts],
+        n=n, max_j=max(values), mean_j=mean(values), std_j=std(values),
+        best_canonical=best[0].canonical(), best_genotype=best[1].text(),
+        histogram_edges=edges, histogram_counts=counts,
     )
 
 
@@ -382,12 +444,12 @@ def run_beta_sweep(ref: ReferenceSet, config: EvolverConfig, betas: list[float],
             j_traces.append([log.mean_j for log in result.logs])
             d_traces.append([log.mean_d for log in result.logs])
             final_j.extend(ind.score for ind in result.population)
-        mean_j_trace = [float(np.mean(col)) for col in zip(*j_traces)]
-        mean_d_trace = [float(np.mean(col)) for col in zip(*d_traces)]
+        mean_j_trace = [mean(col) for col in zip(*j_traces)]
+        mean_d_trace = [mean(col) for col in zip(*d_traces)]
         late = max(1, len(mean_d_trace) // 4)
         rows.append(BetaSweepRow(
             beta=beta, mean_j_trace=mean_j_trace, mean_d_trace=mean_d_trace,
-            final_mean_j=float(np.mean(final_j)),
-            late_mean_d=float(np.mean(mean_d_trace[-late:])),
+            final_mean_j=mean(final_j),
+            late_mean_d=mean(mean_d_trace[-late:]),
         ))
     return BetaSweepResult(rows)

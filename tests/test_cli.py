@@ -214,6 +214,14 @@ class TestDeterminismHash:
         assert a["determinism_hash"] == b["determinism_hash"]
 
 
+def _python(script_args: list[str]) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's src on the path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *script_args], env=env, check=True,
+                          capture_output=True, text=True)
+
+
 class TestSha256:
     def test_digest_matches_hashlib(self):
         rng = random.Random(5)
@@ -232,11 +240,33 @@ class TestSha256:
             "assert len(report['determinism_hash']) == 64\n"
             "print('_hashlib' in sys.modules)\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                             capture_output=True, text=True)
-        assert out.stdout.strip() == "False"
+        assert _python(["-c", script]).stdout.strip() == "False"
+
+
+class TestNumpyLoading:
+    """Only runs that featurize, train or score load numpy."""
+
+    SCRIPT = (
+        "import sys, json\n"
+        "from molga.cli import parse_config, run_task\n"
+        "print('molga.discriminator' in sys.modules, 'numpy' in sys.modules)\n"
+        "report = run_task(parse_config(json.loads(sys.argv[1])), None)\n"
+        "assert len(report['determinism_hash']) == 64\n"
+        "print('numpy' in sys.modules)\n"
+    )
+
+    @pytest.mark.parametrize("doc,loads", [
+        ({"task": "constrained_similarity", "population_size": 10, "generations": 2,
+          "constrained": {"reference_smiles": "CCOc1ccccc1"}}, False),
+        ({"task": "random_baseline", "random_baseline": {"n_samples": 200}}, False),
+        ({"task": "unconstrained", "population_size": 10, "generations": 2,
+          "beta": 10.0}, True),
+    ])
+    def test_numpy_loaded_only_with_discriminator(self, doc, loads):
+        doc = {**doc, "reference": {"synthetic": 150}, "seed": 3}
+        out = _python(["-c", self.SCRIPT, json.dumps(doc)]).stdout.split()
+        # the tracer finds molga.discriminator in sys.modules after import
+        assert out == ["True", "False", str(loads)]
 
 
 def _run_cli(args, capsys):
@@ -333,6 +363,28 @@ class TestSubcommands:
         assert code == 0
         report = json.loads((out / "run_report.json").read_text())
         assert report["config"]["reference"] == report["reference"] == {"synthetic": 130}
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--seed", "3"], ["--threads", "2"], ["--synthetic-reference", "120"],
+    ])
+    def test_run_config_not_an_object(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[]")
+        code, _, err = _run_cli(["run", str(cfg), *argv], capsys)
+        assert code == 1
+        assert err.strip() == "error: config must be a JSON object"
+
+    def test_sweep_config_not_an_object(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[]")
+        code, _, err = _run_cli(["sweep", str(cfg)], capsys)
+        assert code == 1
+        assert err.strip() == "error: config must be a JSON object"
+
+    def test_python_dash_m(self):
+        out = _python(["-m", "molga", "--help"]).stdout
+        assert out.startswith("usage: molga")
+        assert "analyze" in out
 
     def test_run_missing_reference(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

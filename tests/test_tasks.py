@@ -275,6 +275,50 @@ class TestRandomBaseline:
             run_random_baseline(ref, 0)
 
 
+class TestSummaryMatchesNumpy:
+    """The random baseline's pure-Python summary against numpy, bit for bit.
+    The lengths straddle the pairwise sum's 8-element unroll, its
+    128-element block and numpy's 8,192-element buffer size; rounded
+    values land on bin edges, and constant arrays take the widened range."""
+
+    @staticmethod
+    def _arrays(n: int, rng: random.Random):
+        yield [rng.gauss(0.0, 2.0) for _ in range(n)]
+        yield [rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-6, 6) for _ in range(n)]
+        # + 0.0 makes -0.0 a plain zero: numpy's max picks between tied
+        # zeros by its own loop order
+        yield [round(rng.gauss(0.0, 1.5), 1) + 0.0 for _ in range(n)]
+        yield [round(rng.uniform(-4.0, 6.0), 1) + 0.0 for _ in range(n)]
+        yield [rng.choice([-2.75, 0.0, 0.1, 3.0])] * n
+
+    @staticmethod
+    def _check(values: list[float]) -> None:
+        arr = np.array(values)
+        counts, edges = np.histogram(arr, bins=50)
+        assert tasks.histogram(values, 50) == (
+            [int(c) for c in counts], [float(e) for e in edges])
+        assert max(values) == float(arr.max())
+        assert tasks.mean(values) == float(np.mean(arr))
+        assert tasks.std(values) == float(np.std(arr))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 15_000])
+    def test_boundary_lengths(self, n):
+        rng = random.Random(n)
+        for _ in range(4 if n < 1000 else 1):
+            for values in self._arrays(n, rng):
+                self._check(values)
+
+    def test_random_lengths(self):
+        rng = random.Random(18)
+        for _ in range(40):
+            for values in self._arrays(rng.randint(1, 3000), rng):
+                self._check(values)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            tasks.histogram([0.0, math.inf], 50)
+
+
 def structure(mol: MolecularGraph) -> tuple:
     return mol.elements, mol.bond_list
 
