@@ -169,12 +169,12 @@ def decode(g: Genotype) -> MolecularGraph:
 # The structure cache: (elements, bond tuple) -> the graph with exactly that
 # labelling, oldest use first. A hit moves its entry to the end; a miss on a
 # full cache drops the first. An entry keeps a graph alive with everything
-# memoized on it: 1.1 KB on the benchmark's random_scan, 2.3 KB on ga_b10 and
-# 6.4 KB on constrained_batch (tracemalloc, seed 7; structure tuples are
-# shared between graphs, see graph._shared), so at most about 10 MB.
+# memoized on it: 0.8 KB on the benchmark's random_scan, 1.4 KB on ga_b10 and
+# 1.5 KB on constrained_batch (tracemalloc, seed 7; structure tuples are
+# shared between graphs, see graph._shared), so about 2.2 MB when full.
 # The size trades memory for repeat work: at 1,024 / 1,536 / 2,048 entries
 # and seed 7, random_scan builds 7,747 / 7,376 / 7,172 graphs and
-# constrained_batch peaks at 46 / 49 / 52 MB resident.
+# constrained_batch peaks at 21.8 / 22.4 / 23.0 MB resident.
 _GRAPH_CACHE_SIZE = 1536
 _graphs: dict[tuple, MolecularGraph] = {}
 
@@ -341,7 +341,7 @@ def _spanning_tree(g: MolecularGraph, single_order: list[tuple[int, int]]):
         return x
 
     tree: set[tuple[int, int]] = set()
-    high = [(a, b) for (a, b), o in sorted(g.bonds.items()) if o >= 2]
+    high = [(a, b) for a, b, o in sorted(g.bond_list) if o >= 2]
     for a, b in high:
         ra, rb = find(a), find(b)
         if ra == rb:
@@ -368,7 +368,7 @@ def _spanning_tree_variants(g: MolecularGraph):
     tree; those edges get priority. Further variants permute the edge order
     in case the first tree admits no conflict-free layout.
     """
-    single = [(a, b) for (a, b), o in sorted(g.bonds.items()) if o == 1]
+    single = [(a, b) for a, b, o in sorted(g.bond_list) if o == 1]
     constrained = {
         i for i in range(g.n_atoms)
         if g.elements[i] == "P" and any(o >= 2 for _, o in g.neighbors(i))
@@ -512,8 +512,7 @@ def _emit(g: MolecularGraph, root: int, children: dict[int, list[int]],
                 out.extend(index_symbols(offset - 2, 2))
         kids = children[u]
         for k, c in enumerate(kids):
-            bond = g.bonds[(u, c) if u < c else (c, u)]
-            body = subtree(c, bond)
+            body = subtree(c, g.bond_order(u, c))
             if k < len(kids) - 1:
                 if len(body) > MAX_BRANCH_LEN:
                     raise _LayoutConflict(

@@ -83,7 +83,7 @@ def _max_chain_length(g: MolecularGraph) -> int:
     a = lev0.index(max(lev0))
     lev_a = _bfs_levels(adj, a)
     lb = max(lev_a)
-    if len(g.bonds) == n - 1:  # tree: double BFS is exact
+    if len(g.bond_list) == n - 1:  # tree: double BFS is exact
         return lb + 1
     # walk back from the far end b towards a to the path's midpoint
     mid = lev_a.index(lb)
@@ -119,8 +119,8 @@ def _featurize(g: MolecularGraph) -> np.ndarray:
     n_rings = len(basis)
     n_large = sum(1 for cyc in basis if len(cyc) > 6)
     n_branch = sum(1 for i in range(n) if g.degree(i) >= 3)
-    n_bonds = len(g.bonds)
-    n_multi = sum(1 for o in g.bonds.values() if o >= 2)
+    n_bonds = len(g.bond_list)
+    n_multi = sum(1 for _, _, o in g.bond_list if o >= 2)
     het = (n - counts["C"]) / n
     features = np.array([
         counts["C"] / n,

@@ -12,7 +12,6 @@ cap minus the sum of its bond orders.
 from __future__ import annotations
 
 import heapq
-import struct
 from itertools import chain
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
@@ -26,18 +25,18 @@ ELEMENTS: tuple[str, ...] = ("C", "N", "O", "S", "P", "F")
 
 
 # Shared structure tuples (hash-consing: Filliatre & Conchon 2006). Every
-# bond triple (a, b, order), bond key (a, b), adjacency pair (neighbor,
-# order) and per-atom adjacency row a graph is built from is looked up here
-# first, so equal tuples are one object across all graphs: thousands of
-# graphs live at once (a population, the archive, the reference, the
-# structure cache), and most of their atoms look alike. The tuples are
-# immutable and equal, so a graph gives the same values either way. The
-# table is cleared when a graph leaves it above _SHARED_SIZE entries; graphs
-# keep their tuples, and later graphs start sharing anew. Full, its dict
-# takes 1.3 MB and each tuple at most 72 bytes (a row of four pairs), so
-# about 4 MB in all. At seed 7 the benchmark's ga_b10, constrained_batch
-# and random_scan end with 2,757 / 3,342 / 2,839 entries (about 0.3 MB),
-# and a 60-generation paper config with 5,372.
+# bond triple (a, b, order), adjacency pair (neighbor, order) and per-atom
+# adjacency row a graph is built from is looked up here first, so equal
+# tuples are one object across all graphs: thousands of graphs live at once
+# (a population, the archive, the reference, the structure cache), and most
+# of their atoms look alike. The tuples are immutable and equal, so a graph
+# gives the same values either way. The table is cleared when a graph leaves
+# it above _SHARED_SIZE entries; graphs keep their tuples, and later graphs
+# start sharing anew. Full, its dict takes 1.3 MB and each tuple at most 72
+# bytes (a row of four pairs), so about 4 MB in all. At seed 7 the
+# benchmark's ga_b10, constrained_batch and random_scan end with 2,420 /
+# 3,018 / 2,503 entries (about 0.3 MB), and ga_b10's config run for 60
+# generations with 4,669.
 _SHARED_SIZE = 1 << 15
 _shared: dict[tuple, tuple] = {}
 
@@ -70,14 +69,16 @@ class MolecularGraph:
     """Immutable heavy-atom graph.
 
     Atom indices are dense 0..n-1 in placement order. Bonds are undirected
-    with order in {1, 2, 3}. The constructor accepts structurally bad input
-    (duplicate bonds, over-valent atoms, disconnected fragments) so that
-    validate() can report the violations; self-loops and out-of-range
-    indices are rejected outright. The bond and adjacency tuples come from
-    the process-wide `_shared` table, so equal ones are one object.
+    with order in {1, 2, 3}, each stored once: as a triple (a, b, order),
+    a < b, in `bond_list` and as a (neighbor, order) pair in both atoms'
+    adjacency rows. The constructor accepts over-valent atoms and
+    disconnected fragments so that validate() can report them; self-loops,
+    repeated bonds and out-of-range indices are rejected outright. The bond
+    and adjacency tuples come from the process-wide `_shared` table, so
+    equal ones are one object.
     """
 
-    __slots__ = ("elements", "bond_list", "bonds", "_adj", "_cache")
+    __slots__ = ("elements", "bond_list", "_adj", "_cache")
 
     def __init__(self, elements: Sequence[str], bonds: Iterable[tuple[int, int, int]]):
         self.elements: tuple[str, ...] = tuple(elements)
@@ -89,7 +90,7 @@ class MolecularGraph:
                 raise ValueError(f"unknown element {el!r}")
         share = _shared.setdefault
         norm = []
-        bond_map: dict[tuple[int, int], int] = {}
+        seen: set[int] = set()
         for i, j, order in bonds:
             if not (type(i) is type(j) is type(order) is int):
                 # a shared tuple goes to later graphs: an equal bool or numpy int must not
@@ -100,18 +101,17 @@ class MolecularGraph:
                 raise ValueError(f"bond ({i},{j}) out of range")
             if order not in (1, 2, 3):
                 raise ValueError(f"bond order {order} not in 1..3")
-            if i < j:
-                t = (i, j, order)
-                key = (i, j)
-            else:
-                t = (j, i, order)
-                key = (j, i)
+            if i > j:
+                i, j = j, i
+            key = i * n + j
+            if key in seen:
+                raise ValueError(f"repeated bond ({i},{j})")
+            seen.add(key)
+            t = (i, j, order)
             norm.append(share(t, t))
-            bond_map[share(key, key)] = order
         self.bond_list: tuple[tuple[int, int, int], ...] = tuple(norm)
-        self.bonds: dict[tuple[int, int], int] = bond_map
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (a, b), o in bond_map.items():
+        for a, b, o in norm:
             pair = (b, o)
             adj[a].append(share(pair, pair))
             pair = (a, o)
@@ -141,11 +141,14 @@ class MolecularGraph:
         return sum(o for _, o in self._adj[i])
 
     def bond_order(self, i: int, j: int) -> int | None:
-        a, b = (i, j) if i < j else (j, i)
-        return self.bonds.get((a, b))
+        """The order of the bond between atoms i and j, None if unbonded."""
+        for v, o in self._adj[i]:  # four pairs at most in a valid graph
+            if v == j:
+                return o
+        return None
 
     def __repr__(self) -> str:
-        return f"MolecularGraph({len(self.elements)} atoms, {len(self.bonds)} bonds)"
+        return f"MolecularGraph({len(self.elements)} atoms, {len(self.bond_list)} bonds)"
 
     # Derived data is memoized on the instance; graphs are never mutated.
     def memo(self, key: Hashable, compute: Callable[["MolecularGraph"], Any]) -> Any:
@@ -177,15 +180,11 @@ def methane() -> MolecularGraph:
 def validate(g: MolecularGraph) -> list[str]:
     """Return a list of violations; empty means the graph is valid.
 
-    Checks every atom's bond-order sum against its valence cap, parallel
-    bonds, and connectivity.
+    Checks every atom's bond-order sum against its valence cap, and
+    connectivity. A repeated bond never gets this far: the constructor
+    rejects it.
     """
     problems: list[str] = []
-    seen: set[tuple[int, int]] = set()
-    for a, b, _ in g.bond_list:
-        if (a, b) in seen:
-            problems.append(f"parallel bond between atoms {a} and {b}")
-        seen.add((a, b))
     for i, (el, _, total) in enumerate(_atom_invariants(g)):
         if total > VALENCE[el]:
             problems.append(f"atom {i} ({el}) bond-order sum {total} exceeds cap {VALENCE[el]}")
@@ -201,7 +200,7 @@ def _atom_invariants(g: MolecularGraph) -> list[tuple[str, int, int]]:
     cheap next to each caller, and a cached copy per graph would cost
     about 90 bytes an atom."""
     order_sum = [0] * len(g.elements)
-    for (a, b), o in g.bonds.items():
+    for a, b, o in g.bond_list:
         order_sum[a] += o
         order_sum[b] += o
     return [(el, len(nbrs), s) for el, nbrs, s in zip(g.elements, g._adj, order_sum)]
@@ -247,7 +246,7 @@ def _components(g: MolecularGraph) -> list[list[int]]:
 
 
 def _edge_index_map(g: MolecularGraph) -> dict[tuple[int, int], int]:
-    return {e: i for i, e in enumerate(sorted(g.bonds))}
+    return {(a, b): i for i, (a, b, _) in enumerate(sorted(g.bond_list))}
 
 
 def _cycle_mask(cycle: Sequence[int], eidx: dict[tuple[int, int], int]) -> int:
@@ -294,10 +293,10 @@ def _shortest_cycle_mask(adj: list[list[tuple[int, int]]], src: int, dst: int,
     return None
 
 
-def _bridges(g: MolecularGraph) -> set[tuple[int, int]]:
-    """Edges not on any cycle (iterative low-link)."""
-    n = g.n_atoms
-    adj = g._adj
+def _bridges(adj: Sequence[Sequence[tuple[int, int]]]) -> set[tuple[int, int]]:
+    """Edges not on any cycle (iterative low-link), over adjacency rows of
+    (neighbor, order) pairs with no repeated neighbor."""
+    n = len(adj)
     disc = [-1] * n
     low = [0] * n
     out: set[tuple[int, int]] = set()
@@ -349,7 +348,7 @@ def _fundamental_cycles(g: MolecularGraph) -> list[list[int]]:
                     parent[v] = u
                     depth[v] = depth[u] + 1
                     stack.append(v)
-    for a, b in g.bonds:
+    for a, b, _ in g.bond_list:
         if parent[b] == a or parent[a] == b:
             continue  # a tree edge
         # walk both endpoints up to their common ancestor
@@ -373,7 +372,7 @@ def _fundamental_cycles(g: MolecularGraph) -> list[list[int]]:
 def _minimum_cycle_basis(g: MolecularGraph) -> tuple[tuple[int, ...], ...]:
     # cycle rank m - n + c: zero for a forest, which needs no DFS
     c = 1 if _proven_connected(g) else len(_components(g))
-    if len(g.bonds) - g.n_atoms + c == 0:
+    if len(g.bond_list) - g.n_atoms + c == 0:
         return ()
     # a spanning forest leaves out one bond per independent cycle
     cycles = _fundamental_cycles(g)
@@ -392,7 +391,7 @@ def _basis_by_elimination(g: MolecularGraph,
     candidates: dict[int, tuple[int, ...]] = {}  # edge mask -> atom tuple
     # A shortest path between two atoms of a ring never crosses a bridge, so
     # the BFS runs over ring bonds only and finds the same parents.
-    bridges = _bridges(g)
+    bridges = _bridges(g._adj)
     ring_adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n_atoms)]
     for (a, b), k in eidx.items():  # sorted bonds, so each list is sorted by neighbor
         if (a, b) not in bridges:
@@ -419,10 +418,7 @@ def _basis_by_elimination(g: MolecularGraph,
         # automorphic images of each other)
         atom_sig = tuple(sorted(inv[a] for a in cycle))
         k = len(cycle)
-        bond_sig = tuple(sorted(
-            g.bonds[(cycle[i], cycle[(i + 1) % k]) if cycle[i] < cycle[(i + 1) % k]
-                    else (cycle[(i + 1) % k], cycle[i])]
-            for i in range(k)))
+        bond_sig = tuple(sorted(g.bond_order(cycle[i], cycle[(i + 1) % k]) for i in range(k)))
         return (k, atom_sig, bond_sig, cycle)
 
     ordered = sorted(candidates.items(), key=lambda kv: invariant_key(kv[1]))
@@ -638,11 +634,11 @@ def canonical_length_bounds(g: MolecularGraph) -> tuple[int, int]:
     """
     adj = g._adj
     n = len(adj)
-    r = len(g.bonds) - n + 1
+    r = len(g.bond_list) - n + 1
     if r > 99 or not _proven_connected(g):
         k = len(g.canonical())
         return k, k
-    b = sum(1 for o in g.bonds.values() if o > 1)
+    b = sum(1 for _, _, o in g.bond_list if o > 1)
     lo = n + b + 2 * r
     digits = 2 * r if r <= 9 else 18 + 6 * (r - 9)
     branches = 2 + 2 * sum(len(nbrs) - 2 for nbrs in adj if len(nbrs) > 2)
@@ -816,9 +812,12 @@ def _kekulize(elements: list[str], aromatic: list[bool],
         return [(a, b, o) for a, b, o in bonds if o is not None]
 
     # every aromatic atom must sit on a ring, i.e. on a bond that is no bridge
-    probe = MolecularGraph(elements, [(a, b, 1) for a, b, _ in bonds])
-    bridges = _bridges(probe)
-    in_ring = {atom for bond in probe.bonds if bond not in bridges for atom in bond}
+    adj: list[list[tuple[int, int]]] = [[] for _ in elements]
+    for a, b, _ in bonds:
+        adj[a].append((b, 1))
+        adj[b].append((a, 1))
+    bridges = _bridges(adj)
+    in_ring = {atom for a, b, _ in bonds if (a, b) not in bridges for atom in (a, b)}
     for idx, is_ar in enumerate(aromatic):
         if is_ar and idx not in in_ring:
             raise KekulizationFailure(f"aromatic atom {idx} is not in a ring")
@@ -886,22 +885,17 @@ FP_BITS = 1024
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_FNV_PRIME_7 = pow(_FNV_PRIME, 7, 1 << 64)
 _MASK64 = (1 << 64) - 1
-
-
-def _fnv1a(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
-
 
 # Hashed atom environments, memoized process-wide:
 # GA children share almost all of their atom environments with their
 # parents. Cleared when full. An entry takes about 150 bytes in a GA run and
-# at most about 370 (nine unshared 64-bit ints), so at most about 12 MB.
-_HASH_MEMO_SIZE = 1 << 15
+# at most about 370 (nine unshared 64-bit ints), so at most about 1.5 MB.
+# At 32,768 entries the memo never filled on the benchmark's
+# constrained_batch and kept all 19,230 environments it hashed (2.85 MB,
+# seed 7); at 4,096 that run hashes 26,811 times instead.
+_HASH_MEMO_SIZE = 1 << 12
 _hash_memo: dict[tuple[int, ...], int] = {}
 
 
@@ -912,7 +906,18 @@ def _hash_ints(values: Iterable[int]) -> int:
     if h is None:
         if len(_hash_memo) >= _HASH_MEMO_SIZE:
             _hash_memo.clear()
-        h = _hash_memo[key] = _fnv1a(struct.pack(f">{len(key)}Q", *key))
+        # A byte's xor touches only the low 8 bits, so masking to 64 bits
+        # once per value gives the byte-serial result.
+        h = _FNV_OFFSET
+        for v in key:
+            if v < 256:
+                # seven zero bytes multiply h by the prime seven times; then v
+                h = ((h * _FNV_PRIME_7) ^ v) * _FNV_PRIME & _MASK64
+            else:
+                for byte in v.to_bytes(8, "big"):
+                    h = (h ^ byte) * _FNV_PRIME
+                h &= _MASK64
+        _hash_memo[key] = h
     return h
 
 

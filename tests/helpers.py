@@ -13,7 +13,7 @@ from molga.graph import VALENCE, MolecularGraph
 def valence_ok(g: MolecularGraph) -> bool:
     """Independent valence check: per-atom bond-order sums vs caps."""
     sums = [0] * g.n_atoms
-    for (a, b), order in g.bonds.items():
+    for a, b, order in g.bond_list:
         sums[a] += order
         sums[b] += order
     return all(s <= VALENCE[el] for s, el in zip(sums, g.elements))
@@ -38,7 +38,7 @@ def brute_force_isomorphic(g1: MolecularGraph, g2: MolecularGraph,
     n = g1.n_atoms
     if n > max_atoms:
         raise ValueError(f"brute-force isomorphism capped at {max_atoms} atoms")
-    if n != g2.n_atoms or len(g1.bonds) != len(g2.bonds):
+    if n != g2.n_atoms or len(g1.bond_list) != len(g2.bond_list):
         return False
     if sorted(g1.elements) != sorted(g2.elements):
         return False

@@ -184,7 +184,7 @@ def reference_path_avoiding(g: MolecularGraph, src: int, dst: int) -> list[int] 
 def reference_basis(g: MolecularGraph, target_rank: int) -> tuple[tuple[int, ...], ...]:
     """Candidate cycles from a BFS over the whole graph, each put into
     canonical form; then the same ordering and pivot elimination."""
-    eidx = {e: i for i, e in enumerate(sorted(g.bonds))}
+    eidx = {(a, b): i for i, (a, b, _) in enumerate(sorted(g.bond_list))}
 
     def mask_of(cycle):
         k = len(cycle)
@@ -210,7 +210,7 @@ def reference_basis(g: MolecularGraph, target_rank: int) -> tuple[tuple[int, ...
                     if v not in parent:
                         parent[v], depth[v] = u, depth[u] + 1
                         stack.append(v)
-        for a, b in sorted(g.bonds):
+        for a, b, _ in sorted(g.bond_list):
             if parent[b] == a or parent[a] == b:
                 continue
             left, right = [a], [b]
@@ -222,7 +222,7 @@ def reference_basis(g: MolecularGraph, target_rank: int) -> tuple[tuple[int, ...
             yield left + right[-2::-1]
 
     candidates: dict[int, tuple[int, ...]] = {}
-    for a, b in sorted(g.bonds):
+    for a, b, _ in sorted(g.bond_list):
         path = reference_path_avoiding(g, a, b)  # None for a bridge
         if path is not None:
             candidates.setdefault(mask_of(path), canonical_cycle(path))
@@ -278,12 +278,12 @@ def _graphs():
 def test_kernel_matches_reference():
     n_multi_ring = 0
     for g in _graphs():
-        rank = len(g.bonds) - g.n_atoms + 1  # every graph here is connected
+        rank = len(g.bond_list) - g.n_atoms + 1  # every graph here is connected
         assert g.ring_basis() == reference_basis(g, rank)
         if rank >= 2:
             n_multi_ring += 1
-            assert _bridges(g) == {
-                (a, b) for a, b in g.bonds if reference_path_avoiding(g, a, b) is None}
+            assert _bridges(g._adj) == {
+                (a, b) for a, b, _ in g.bond_list if reference_path_avoiding(g, a, b) is None}
         assert _refined_ranks(g) == reference_ranks(g)
         assert _canonical_string(g) == reference_canonical(g)
     assert n_multi_ring > 500

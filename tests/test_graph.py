@@ -13,9 +13,11 @@ from molga.graph import (
     SmilesSyntaxError,
     UnsupportedFeature,
     ValenceViolation,
+    _FNV_OFFSET,
+    _FNV_PRIME,
     _HASH_MEMO_SIZE,
+    _MASK64,
     _basis_by_elimination,
-    _fnv1a,
     _fundamental_cycles,
     _hash_ints,
     _minimum_cycle_basis,
@@ -38,7 +40,7 @@ def permuted(mol: MolecularGraph, rng: random.Random) -> MolecularGraph:
     rng.shuffle(idx)
     perm = {old: new for new, old in enumerate(idx)}
     elements = [mol.elements[idx[i]] for i in range(len(idx))]
-    bonds = [(perm[a], perm[b], o) for (a, b), o in mol.bonds.items()]
+    bonds = [(perm[a], perm[b], o) for a, b, o in mol.bond_list]
     return MolecularGraph(elements, bonds)
 
 
@@ -57,9 +59,10 @@ class TestValidate:
         problems = validate(mol)
         assert any("disconnected" in p for p in problems), problems
 
-    def test_parallel_bonds(self):
-        mol = MolecularGraph(["C", "C"], [(0, 1, 1), (1, 0, 1)])
-        assert any("parallel" in p for p in validate(mol))
+    def test_repeated_bond_rejected_at_construction(self):
+        for bonds in ([(0, 1, 1), (1, 0, 1)], [(0, 1, 1), (0, 1, 2)]):
+            with pytest.raises(ValueError, match="repeated bond"):
+                MolecularGraph(["C", "C"], bonds)
 
     def test_self_loop_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -87,7 +90,7 @@ class TestRings:
         rng = random.Random(5)
         for _ in range(500):
             mol = decode(random_genotype(rng, 50))
-            assert len(list(mol.ring_basis())) == len(mol.bonds) - mol.n_atoms + 1
+            assert len(list(mol.ring_basis())) == len(mol.bond_list) - mol.n_atoms + 1
 
     def test_forest_needs_no_cycle_search(self, monkeypatch):
         def no_search(g):
@@ -98,7 +101,7 @@ class TestRings:
         trees = 0
         for _ in range(300):
             mol = decode(random_genotype(rng, 40))
-            if len(mol.bonds) == mol.n_atoms - 1:
+            if len(mol.bond_list) == mol.n_atoms - 1:
                 trees += 1
                 assert _minimum_cycle_basis(mol) == ()
         assert trees > 200
@@ -119,7 +122,7 @@ class TestRings:
         unicyclic = {}
         while len(unicyclic) < 2_000:
             mol = decode(random_genotype(rng, 40))
-            if len(mol.bonds) - mol.n_atoms + 1 == 1:
+            if len(mol.bond_list) - mol.n_atoms + 1 == 1:
                 unicyclic[mol.elements, mol.bond_list] = mol
         for mol in unicyclic.values():
             for labelled in (mol, permuted(mol, rng)):
@@ -394,11 +397,11 @@ class TestParseSmiles:
     def test_chain(self):
         mol = parse_smiles("CCC")
         assert mol.elements == ("C", "C", "C")
-        assert mol.bonds == {(0, 1): 1, (1, 2): 1}
+        assert sorted(mol.bond_list) == [(0, 1, 1), (1, 2, 1)]
 
     def test_benzene_kekulized(self):
         mol = parse_smiles("c1ccccc1")
-        assert sorted(mol.bonds.values()) == [1, 1, 1, 2, 2, 2]
+        assert sorted(o for _, _, o in mol.bond_list) == [1, 1, 1, 2, 2, 2]
         assert validate(mol) == []
         assert len(list(mol.ring_basis())) == 1
         # alternation: no atom carries two doubles
@@ -453,7 +456,7 @@ class TestParseSmiles:
     def test_pyridine(self):
         mol = parse_smiles("c1ccncc1")
         assert validate(mol) == []
-        assert sorted(mol.bonds.values()) == [1, 1, 1, 2, 2, 2]
+        assert sorted(o for _, _, o in mol.bond_list) == [1, 1, 1, 2, 2, 2]
 
     def test_furan_oxygen_takes_no_double(self):
         mol = parse_smiles("c1ccoc1")
@@ -480,7 +483,7 @@ class TestParseSmiles:
 
     def test_explicit_bond_orders(self):
         mol = parse_smiles("C-C=CC#N")
-        assert sorted(mol.bonds.values()) == [1, 1, 2, 3]
+        assert sorted(o for _, _, o in mol.bond_list) == [1, 1, 2, 3]
 
     def test_ring_bond_order_conflict(self):
         with pytest.raises(SmilesSyntaxError):
@@ -514,6 +517,15 @@ class TestFingerprint:
         assert not any(isinstance(v, frozenset) for v in mol._cache.values())
 
 
+def _fnv1a(data: bytes) -> int:
+    """FNV-1a-64 one byte at a time, the reference `_hash_ints` must match."""
+    h = _FNV_OFFSET
+    for byte in data:
+        h ^= byte
+        h = (h * _FNV_PRIME) & _MASK64
+    return h
+
+
 class TestHashKernel:
     def test_fnv1a_known_answers(self):
         assert _fnv1a(b"") == 0xCBF29CE484222325
@@ -534,6 +546,15 @@ class TestHashKernel:
         for values in inputs + inputs[:4000]:
             assert _hash_ints(values) == byte_loop(values)
         assert _hash_ints(list(inputs[0])) == byte_loop(inputs[0])
+
+    def test_hash_ints_at_the_one_byte_boundary(self):
+        # values below 256 take the one-byte step, the others the byte rounds
+        edges = (0, 1, 255, 256, 257, 65535, 65536, 2**63, 2**64 - 1)
+        for a in edges:
+            for b in edges:
+                data = a.to_bytes(8, "big") + b.to_bytes(8, "big")
+                assert _hash_ints((a, b)) == _fnv1a(data)
+                assert _hash_ints((a,)) == _fnv1a(data[:8])
 
 
 class TestFingerprintBits:
@@ -626,14 +647,26 @@ def structure_values(mol: MolecularGraph, stats) -> tuple:
             tuple(featurize(mol)), mol.fingerprint())
 
 
+class TestBondOrder:
+    def test_agrees_with_bond_list(self, bundled_reference):
+        rng = random.Random(19)
+        mols = list(bundled_reference.graphs)
+        mols += [decode(random_genotype(rng, 40)) for _ in range(2000)]
+        for mol in mols:
+            orders = {(a, b): o for a, b, o in mol.bond_list}
+            for i in range(mol.n_atoms):
+                for j in range(mol.n_atoms):
+                    expected = orders.get((i, j) if i < j else (j, i))
+                    assert mol.bond_order(i, j) == expected
+            assert len(orders) == len(mol.bond_list)
+
+
 class TestSharedTuples:
     def test_equal_tuples_are_one_object(self):
         a = MolecularGraph(["C", "C", "O"], [(0, 1, 1), (1, 2, 2)])
         b = MolecularGraph(["N", "C", "C", "F"], [(1, 0, 1), (2, 1, 2), (3, 0, 1)])
         assert a.bond_list[0] is b.bond_list[0]  # (0, 1, 1)
         assert a.bond_list[1] is b.bond_list[1]  # (1, 2, 2)
-        key_a, key_b = next(iter(a.bonds)), next(iter(b.bonds))
-        assert key_a == (0, 1) and key_a is key_b
         assert a.neighbors(1) == ((0, 1), (2, 2))
         assert a.neighbors(1) is b.neighbors(1)  # a whole row
         assert a.neighbors(2)[0] is b.neighbors(2)[0]  # (1, 2)
@@ -643,10 +676,8 @@ class TestSharedTuples:
         mol = parse_smiles("CC(=O)C1CCCCC1")
         fresh = unshared_copy(mol)
         assert fresh.bond_list == mol.bond_list
-        assert fresh.bonds == mol.bonds
         assert fresh._adj == mol._adj
         assert not any(x is y for x, y in zip(fresh.bond_list, mol.bond_list))
-        assert not any(x is y for x, y in zip(fresh.bonds, mol.bonds))
         assert not any(x is y for x, y in zip(fresh._adj, mol._adj))
 
     def test_shared_and_fresh_graphs_agree_on_the_reference(self, bundled_reference):
