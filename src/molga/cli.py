@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+from copy import copy
 from dataclasses import asdict
 from typing import Any
 
@@ -40,139 +42,8 @@ class ConfigError(MolgaError):
     """Invalid run configuration."""
 
 
-_DEFAULTS: dict[str, Any] = {
-    "task": "unconstrained",
-    "seed": 0,
-    "reference": None,  # path string, {"synthetic": N}, or None for the bundle
-    "population_size": 500,
-    "generations": 100,
-    "beta": 0.0,
-    "use_discriminator": None,  # None: implied by beta/task
-    "adaptive": {"low": 0.0, "high": 1000.0, "window": 20, "epsilon": 1e-3},
-    "elite_count": 1,
-    "parent_selection": "uniform-survivors",
-    "top_fraction": 0.2,
-    "max_canonical_len": 81,
-    "max_genotype_len": 100,
-    "archive_k": 50,
-    "snapshot_every": 0,
-    "threads": 1,
-    "output_dir": None,
-    "initial_population": None,  # genotype text file; cycled up to size
-    "constrained": {"delta": 0.4, "n_molecules": 50, "reference_smiles": None},
-    "property_target": {"targets": None, "n_targets": 100},
-    "logp_qed": {"w_j": 1.0, "w_qed": 10.0},
-    "random_baseline": {"n_samples": 10000},
-    "beta_sweep": {"betas": [0.0, 10.0, 50.0], "seeds_per_beta": 3},
-}
-
-
 def bundled_reference_path() -> str:
     return os.path.join(os.path.dirname(__file__), "data", "reference_1k.smi")
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_number_list(value: Any) -> bool:
-    """A non-empty list of numbers."""
-    return isinstance(value, (list, tuple)) and bool(value) and all(map(_is_number, value))
-
-
-def parse_config(doc: dict) -> dict:
-    """Validate a config document and materialize every default."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    out: dict[str, Any] = {}
-    for key, default in _DEFAULTS.items():
-        if isinstance(default, dict) and key in doc:
-            sub = doc[key]
-            if not isinstance(sub, dict):
-                raise ConfigError(f"{key!r} must be an object")
-            unknown = set(sub) - set(default)
-            if unknown:
-                raise ConfigError(f"unknown keys in {key!r}: {sorted(unknown)}")
-            out[key] = {**default, **sub}
-        else:
-            out[key] = doc.get(key, default)
-    unknown = set(doc) - set(_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if not isinstance(out["task"], str) or out["task"] not in _RUNNERS:
-        raise ConfigError(f"unknown task {out['task']!r}; expected one of {tuple(_RUNNERS)}")
-    if not _is_int(out["seed"]):
-        raise ConfigError("seed must be an integer")
-    source = out["reference"]
-    if not (source is None or isinstance(source, str)
-            or isinstance(source, dict) and set(source) == {"synthetic"}
-            and _is_int(source["synthetic"]) and source["synthetic"] >= 1):
-        raise ConfigError('reference must be null, a path, or {"synthetic": N} with N >= 1')
-    for name, value in (("output_dir", out["output_dir"]),
-                        ("initial_population", out["initial_population"]),
-                        ("constrained.reference_smiles", out["constrained"]["reference_smiles"])):
-        if not (value is None or isinstance(value, str)):
-            raise ConfigError(f"{name} must be null or a string")
-    for key in ("population_size", "generations", "max_canonical_len",
-                "max_genotype_len", "archive_k", "snapshot_every", "threads",
-                "elite_count"):
-        if not _is_int(out[key]) or out[key] < 0:
-            raise ConfigError(f"{key} must be a non-negative integer")
-    if out["population_size"] < 1:
-        raise ConfigError("population_size must be >= 1")
-    if out["elite_count"] > out["population_size"]:
-        raise ConfigError("elite_count must be <= population_size")
-    if out["archive_k"] < 1:
-        raise ConfigError("archive_k must be >= 1")
-    if out["threads"] < 1:
-        raise ConfigError("threads must be >= 1")
-    # at 0 no genotype or molecule fits: a GA never accepts a child and the
-    # random baseline cannot draw a genotype
-    for key in ("max_canonical_len", "max_genotype_len"):
-        if out[key] < 1:
-            raise ConfigError(f"{key} must be >= 1")
-    if out["parent_selection"] not in ("uniform-survivors", "top-fraction"):
-        raise ConfigError(f"unknown parent_selection {out['parent_selection']!r}")
-    if not (out["use_discriminator"] is None or isinstance(out["use_discriminator"], bool)):
-        raise ConfigError("use_discriminator must be true, false or null")
-    for name, value in (("beta", out["beta"]), ("logp_qed.w_j", out["logp_qed"]["w_j"]),
-                        ("logp_qed.w_qed", out["logp_qed"]["w_qed"]),
-                        *((f"adaptive.{k}", out["adaptive"][k])
-                          for k in ("low", "high", "epsilon"))):
-        if not _is_number(value):
-            raise ConfigError(f"{name} must be a number")
-    for key in ("w_j", "w_qed"):
-        if out["logp_qed"][key] < 0:
-            raise ConfigError(f"logp_qed.{key} must be >= 0")
-    if out["adaptive"]["low"] > out["adaptive"]["high"]:
-        raise ConfigError("adaptive.low must be <= adaptive.high")
-    if not (_is_number(out["top_fraction"]) and 0 < out["top_fraction"] <= 1):
-        raise ConfigError("top_fraction must be a number in (0, 1]")
-    delta = out["constrained"]["delta"]
-    if not (_is_number(delta) and 0 <= delta <= 1):
-        raise ConfigError("constrained.delta must be a number in [0, 1]")
-    if not _is_number_list(out["beta_sweep"]["betas"]):
-        raise ConfigError("beta_sweep.betas must be a non-empty list of numbers")
-    targets = out["property_target"]["targets"]
-    if not (targets is None or _is_number_list(targets) and len(targets) == 3):
-        raise ConfigError("property_target.targets must be null or a list of 3 numbers")
-    for section, key in (("constrained", "n_molecules"), ("property_target", "n_targets"),
-                         ("random_baseline", "n_samples"), ("beta_sweep", "seeds_per_beta"),
-                         ("adaptive", "window")):
-        value = out[section][key]
-        if not _is_int(value) or value < 1:
-            raise ConfigError(f"{section}.{key} must be an integer >= 1")
-    # a key left at its default changes nothing, so a materialized config
-    # (the echo in run_report.json) parses again
-    ignored = {key for key in set(doc) - _ALWAYS_READ - _RUNNERS[out["task"]][1]
-               if out[key] != _DEFAULTS[key]}
-    if ignored:
-        raise ConfigError(f"task {out['task']!r} does not read {sorted(ignored)}")
-    return out
 
 
 def load_config_reference(config: dict) -> tuple[ReferenceSet, dict]:
@@ -221,8 +92,7 @@ def _evolver_config(config: dict) -> EvolverConfig:
     """The one EvolverConfig of a run config. Tasks that fix beta, the
     discriminator or the population override those fields themselves."""
     if config["task"] == "adaptive_dt":
-        ad = config["adaptive"]
-        schedule = BetaSchedule.adaptive(ad["low"], ad["high"], ad["window"], ad["epsilon"])
+        schedule = BetaSchedule(mode="adaptive", **config["adaptive"])
         use_discriminator = True
     else:
         schedule = BetaSchedule.const(float(config["beta"]))
@@ -237,18 +107,10 @@ def _evolver_config(config: dict) -> EvolverConfig:
         initial = _load_initial_population(config["initial_population"],
                                            config["population_size"])
     return EvolverConfig(
-        population_size=config["population_size"],
-        generations=config["generations"],
+        **{key: config[key] for key in _GA_KEYS - {"initial_population"}},
+        seed=config["seed"],
         schedule=schedule,
         use_discriminator=use_discriminator,
-        elite_count=config["elite_count"],
-        parent_selection=config["parent_selection"],
-        top_fraction=config["top_fraction"],
-        max_canonical_len=config["max_canonical_len"],
-        max_genotype_len=config["max_genotype_len"],
-        archive_k=config["archive_k"],
-        seed=config["seed"],
-        snapshot_every=config["snapshot_every"],
         initial_genotypes=initial,
     )
 
@@ -354,6 +216,8 @@ def _run_beta_sweep(config: dict, ref: ReferenceSet, out_dir: str | None):
 
 
 # Keys every task accepts; the rest of a task's keys sit next to its runner.
+# The GA keys are EvolverConfig fields of the same name and default, apart
+# from initial_population, the genotype file that becomes initial_genotypes.
 _ALWAYS_READ = {"task", "seed", "reference", "threads", "output_dir"}
 _GA_KEYS = {"population_size", "generations", "elite_count", "parent_selection",
             "top_fraction", "max_canonical_len", "max_genotype_len", "archive_k",
@@ -373,6 +237,131 @@ _RUNNERS = {
     "beta_sweep": (
         _run_beta_sweep, _GA_KEYS - {"snapshot_every", "archive_k"} | {"beta_sweep"}),
 }
+
+# In single-run mode (its first key set) a section reads no batch count.
+_BATCH_COUNTS = {"constrained": ("reference_smiles", "n_molecules"),
+                 "property_target": ("targets", "n_targets")}
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    # json.load reads NaN and Infinity literals as floats
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+
+
+def _is_number_list(value: Any) -> bool:
+    return isinstance(value, (list, tuple)) and bool(value) and all(map(_is_number, value))
+
+
+# A rule is a test and the words that finish "<key> must be ...".
+def _integer(low: int) -> tuple:
+    return (lambda value: _is_int(value) and value >= low), f"an integer >= {low}"
+
+
+def _one_of(*choices: str) -> tuple:
+    return (lambda value: isinstance(value, str) and value in choices), f"one of {choices}"
+
+
+_NUMBER = _is_number, "a finite number"
+_WEIGHT = (lambda value: _is_number(value) and value >= 0), "a finite number >= 0"
+_NULL_OR_STRING = (lambda value: value is None or isinstance(value, str)), "null or a string"
+
+_GA, _BETA = EvolverConfig(), BetaSchedule()
+# Every config key with its default and its rule; a nested table is a
+# section, an object in the document.
+_KEYS: dict[str, Any] = {
+    "task": ("unconstrained", _one_of(*_RUNNERS)),
+    "seed": (_GA.seed, (_is_int, "an integer")),
+    # a path, {"synthetic": N}, or None for the bundle
+    "reference": (None, (lambda value: value is None or isinstance(value, str)
+                         or isinstance(value, dict) and set(value) == {"synthetic"}
+                         and _is_int(value["synthetic"]) and value["synthetic"] >= 1,
+                         'null, a path, or {"synthetic": N} with N >= 1')),
+    "population_size": (_GA.population_size, _integer(1)),
+    "generations": (_GA.generations, _integer(0)),
+    "beta": (_BETA.constant, _NUMBER),
+    # None: implied by beta and the task
+    "use_discriminator": (None, (lambda value: value is None or isinstance(value, bool),
+                                 "true, false or null")),
+    "adaptive": {"low": (_BETA.low, _NUMBER), "high": (_BETA.high, _NUMBER),
+                 "window": (_BETA.window, _integer(1)), "epsilon": (_BETA.epsilon, _NUMBER)},
+    "elite_count": (_GA.elite_count, _integer(0)),
+    "parent_selection": (_GA.parent_selection, _one_of("uniform-survivors", "top-fraction")),
+    "top_fraction": (_GA.top_fraction, (lambda value: _is_number(value) and 0 < value <= 1,
+                                        "a number in (0, 1]")),
+    # at 0 no genotype or molecule fits: a GA never accepts a child and the
+    # random baseline cannot draw a genotype
+    "max_canonical_len": (_GA.max_canonical_len, _integer(1)),
+    "max_genotype_len": (_GA.max_genotype_len, _integer(1)),
+    "archive_k": (_GA.archive_k, _integer(1)),
+    "snapshot_every": (_GA.snapshot_every, _integer(0)),
+    "threads": (1, _integer(1)),
+    "output_dir": (None, _NULL_OR_STRING),
+    "initial_population": (None, _NULL_OR_STRING),  # genotype text file; cycled up to size
+    "constrained": {
+        "delta": (0.4, (lambda value: _is_number(value) and 0 <= value <= 1,
+                        "a number in [0, 1]")),
+        "n_molecules": (50, _integer(1)),
+        "reference_smiles": (None, _NULL_OR_STRING)},
+    "property_target": {
+        "targets": (None, (lambda value: value is None or _is_number_list(value)
+                           and len(value) == 3, "null or a list of 3 numbers")),
+        "n_targets": (100, _integer(1))},
+    "logp_qed": {"w_j": (1.0, _WEIGHT), "w_qed": (10.0, _WEIGHT)},
+    "random_baseline": {"n_samples": (10000, _integer(1))},
+    "beta_sweep": {
+        "betas": ([0.0, 10.0, 50.0], (_is_number_list, "a non-empty list of numbers")),
+        "seeds_per_beta": (3, _integer(1))},
+}
+
+
+def _parse(doc: dict, keys: dict, section: str | None = None) -> dict:
+    """One level of a config document checked against its table, with every
+    default filled in; nothing in the result is shared with the table."""
+    unknown = set(doc) - set(keys)
+    if unknown:
+        where = "config keys" if section is None else f"keys in {section!r}"
+        raise ConfigError(f"unknown {where}: {sorted(unknown)}")
+    out = {}
+    for key, entry in keys.items():
+        if isinstance(entry, dict):
+            sub = doc.get(key, {})
+            if not isinstance(sub, dict):
+                raise ConfigError(f"{key!r} must be an object")
+            out[key] = _parse(sub, entry, key)
+            continue
+        default, (valid, words) = entry
+        value = doc[key] if key in doc else copy(default)
+        if not valid(value):
+            name = key if section is None else f"{section}.{key}"
+            raise ConfigError(f"{name} must be {words}")
+        out[key] = value
+    return out
+
+
+def parse_config(doc: dict) -> dict:
+    """Validate a config document and materialize every default."""
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    out = _parse(doc, _KEYS)
+    if out["elite_count"] > out["population_size"]:
+        raise ConfigError("elite_count must be <= population_size")
+    if out["adaptive"]["low"] > out["adaptive"]["high"]:
+        raise ConfigError("adaptive.low must be <= adaptive.high")
+    # a key left at its default changes nothing, so a materialized config
+    # (the echo in run_report.json) parses again
+    defaults = _parse({}, _KEYS)
+    ignored = {key for key in set(doc) - _ALWAYS_READ - _RUNNERS[out["task"]][1]
+               if out[key] != defaults[key]}
+    for section, (single, count) in _BATCH_COUNTS.items():
+        if out[section][single] and out[section][count] != defaults[section][count]:
+            ignored.add(f"{section}.{count}")
+    if ignored:
+        raise ConfigError(f"task {out['task']!r} does not read {sorted(ignored)}")
+    return out
 
 
 def run_task(config: dict, out_dir: str | None) -> dict:
@@ -395,23 +384,25 @@ def run_task(config: dict, out_dir: str | None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _load_run_config(args, task: str | None = None) -> tuple[dict, str | None]:
-    """The config file with the --seed, --threads and --synthetic-reference
-    overrides written in, parsed, and the output directory."""
-    with open(args.config) as fh:
-        doc = json.load(fh)
+def _with_flags(doc: Any, synthetic_reference: int | None = None, **flags: Any) -> dict:
+    """The config document with each command-line flag that was given
+    written over its key, so a flag is checked as the same key in the file
+    would be; --synthetic-reference N is the reference {"synthetic": N}."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    if task is not None:
-        doc["task"] = task
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.threads is not None:
-        doc["threads"] = args.threads
-    if getattr(args, "synthetic_reference", None) is not None:
-        doc["reference"] = {"synthetic": args.synthetic_reference}
-    config = parse_config(doc)
-    return config, args.out or config["output_dir"] or os.environ.get("MOLGA_OUT")
+    if synthetic_reference is not None:
+        flags["reference"] = {"synthetic": synthetic_reference}
+    return {**doc, **{key: value for key, value in flags.items() if value is not None}}
+
+
+def _load_run_config(args, task: str | None = None) -> tuple[dict, str | None]:
+    """The config file with the command-line flags written in, parsed, and
+    the output directory."""
+    with open(args.config) as fh:
+        doc = json.load(fh)
+    config = parse_config(_with_flags(doc, task=task, seed=args.seed, threads=args.threads,
+                                      synthetic_reference=args.synthetic_reference))
+    return config, args.out or config["output_dir"]
 
 
 def _cmd_run(args) -> int:
@@ -456,13 +447,9 @@ def _cmd_props(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    doc: dict[str, Any] = {"task": "random_baseline", "random_baseline": {"n_samples": args.n}}
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.synthetic_reference is not None:
-        doc["reference"] = {"synthetic": args.synthetic_reference}
-    elif args.reference is not None:
-        doc["reference"] = args.reference
+    doc = _with_flags({"task": "random_baseline", "random_baseline": {"n_samples": args.n}},
+                      seed=args.seed, reference=args.reference,
+                      synthetic_reference=args.synthetic_reference)
     print(json.dumps(run_task(parse_config(doc), None)["result"], indent=2))
     return 0
 
@@ -527,14 +514,15 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="genetic molecular design engine")
     sub = p.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="execute a run config (JSON)")
-    run_p.add_argument("config")
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--threads", type=int, default=None)
-    run_p.add_argument("--out", default=None)
-    run_p.add_argument("--synthetic-reference", type=int, default=None,
-                       help="replace the reference with N synthetic molecules")
-    run_p.set_defaults(func=_cmd_run)
+    run_args = argparse.ArgumentParser(add_help=False)  # run's and sweep's
+    run_args.add_argument("config")
+    run_args.add_argument("--seed", type=int)
+    run_args.add_argument("--threads", type=int)
+    run_args.add_argument("--out")
+    run_args.add_argument("--synthetic-reference", type=int,
+                          help="replace the reference with N synthetic molecules")
+    sub.add_parser("run", parents=[run_args],
+                   help="execute a run config (JSON)").set_defaults(func=_cmd_run)
 
     dec_p = sub.add_parser("decode", help="decode a genotype to canonical text")
     dec_p.add_argument("genotype")
@@ -560,12 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     an_p.add_argument("--plot-data", action="store_true")
     an_p.set_defaults(func=_cmd_analyze)
 
-    sw_p = sub.add_parser("sweep", help="beta sweep from a config (JSON)")
-    sw_p.add_argument("config")
-    sw_p.add_argument("--seed", type=int, default=None)
-    sw_p.add_argument("--threads", type=int, default=None)
-    sw_p.add_argument("--out", default=None)
-    sw_p.set_defaults(func=_cmd_sweep)
+    sub.add_parser("sweep", parents=[run_args],
+                   help="beta sweep from a config (JSON)").set_defaults(func=_cmd_sweep)
     return p
 
 
@@ -587,7 +571,3 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

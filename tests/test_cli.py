@@ -42,7 +42,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("task", [["unconstrained"], {"a": 1}])
     def test_task_of_wrong_type_rejected(self, task):
-        with pytest.raises(ConfigError, match="^unknown task"):
+        with pytest.raises(ConfigError, match="^task must be one of"):
             parse_config({"task": task})
 
     def test_round_trip_idempotent(self):
@@ -105,6 +105,13 @@ class TestConfig:
          "constrained.reference_smiles"),
         ({"task": "logp_qed", "logp_qed": {"w_j": -1}}, "logp_qed.w_j"),
         ({"task": "logp_qed", "logp_qed": {"w_qed": -0.5}}, "logp_qed.w_qed"),
+        ({"beta": float("nan")}, "beta"),
+        ({"task": "logp_qed", "logp_qed": {"w_j": float("nan")}}, "logp_qed.w_j"),
+        ({"task": "beta_sweep", "beta_sweep": {"betas": [float("nan")]}}, "beta_sweep.betas"),
+        ({"task": "property_target", "property_target": {"targets": [float("nan"), 1, 2]}},
+         "property_target.targets"),
+        ({"task": "adaptive_dt", "adaptive": {"epsilon": float("nan")}}, "adaptive.epsilon"),
+        ({"task": "adaptive_dt", "adaptive": {"high": float("inf")}}, "adaptive.high"),
     ])
     def test_nonsense_value_rejected(self, doc, key):
         with pytest.raises(ConfigError, match=f"^{key} must"):
@@ -143,16 +150,38 @@ class TestConfig:
         {"task": "random_baseline", "elite_count": 3},
         {"task": "logp_qed", "constrained": {"delta": 0.6}},
         {"task": "unconstrained", "beta_sweep": {"seeds_per_beta": 1}},
+        # single-run mode reads no batch count
+        {"task": "property_target",
+         "property_target": {"targets": [1.0, 2.0, 3.0], "n_targets": 5}},
+        {"task": "constrained_similarity",
+         "constrained": {"reference_smiles": "CCO", "n_molecules": 5}},
     ])
     def test_key_the_task_does_not_read_rejected(self, doc):
         with pytest.raises(ConfigError, match="does not read"):
             parse_config(doc)
 
-    def test_key_at_its_default_accepted(self):
+    @pytest.mark.parametrize("doc", [
+        *(pytest.param({"task": task}, id=task)
+          for task in ("unconstrained", "adaptive_dt", "constrained_similarity",
+                       "property_target", "logp_qed", "random_baseline", "beta_sweep")),
+        pytest.param({"task": "property_target",
+                      "property_target": {"targets": [1.0, 2.0, 3.0]}}, id="single_target"),
+        pytest.param({"task": "constrained_similarity",
+                      "constrained": {"reference_smiles": "CCO"}}, id="single_molecule"),
+    ])
+    def test_key_at_its_default_accepted(self, doc):
         # a materialized config (run_report.json's echo) parses again
-        echo = parse_config({"task": "random_baseline"})
+        echo = json.loads(json.dumps(parse_config(doc)))
         assert parse_config(echo) == echo
         assert parse_config({"task": "adaptive_dt", "beta": 0.0})["task"] == "adaptive_dt"
+
+    def test_parsed_config_shares_nothing_with_the_defaults(self):
+        first = parse_config({})
+        first["adaptive"]["window"] = 3
+        first["beta_sweep"]["betas"].append(99.0)
+        again = parse_config({})
+        assert again["adaptive"]["window"] == 20
+        assert again["beta_sweep"]["betas"] == [0.0, 10.0, 50.0]
 
 
 class TestReferenceLoading:
@@ -331,6 +360,9 @@ class TestSubcommands:
         ({"reference": {"synthetic": "abc"}}, "reference"),
         ({"reference": {"synthetic": True}}, "reference"),
         ({"reference": {"synthetic": 120, "colour": "blue"}}, "reference"),
+        # json.dumps writes a NaN literal, which json.load reads back
+        ({"reference": {"synthetic": 120}, "population_size": 5, "beta": float("nan")},
+         "beta"),
     ])
     def test_run_rejects_config_before_running(self, capsys, tmp_path, doc, key):
         cfg = tmp_path / "cfg.json"
@@ -565,3 +597,14 @@ class TestSweepCommand:
         lines = (out / "beta_sweep.csv").read_text().splitlines()
         assert lines[0] == "beta,generation,mean_j,mean_d"
         assert len(lines) == 1 + 2 * 4
+
+    def test_sweep_takes_synthetic_reference(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"population_size": 5, "generations": 1,
+                                   "beta_sweep": {"betas": [0.0], "seeds_per_beta": 1}}))
+        out = tmp_path / "sw"
+        code, _, err = _run_cli(["sweep", str(cfg), "--out", str(out),
+                                 "--synthetic-reference", "120"], capsys)
+        assert code == 0, err
+        report = json.loads((out / "run_report.json").read_text())
+        assert report["config"]["reference"] == report["reference"] == {"synthetic": 120}
