@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MolgaError
-from .graph import FP_BITS, tanimoto
+from .graph import FP_BITS
 
 KMEANS_MAX_ITER = 100
 
@@ -32,9 +32,6 @@ class ClusterAssignment:
     labels: np.ndarray  # (n,)
     inertia: float
     inertia_trace: list[float]
-
-    def n_nonempty(self) -> int:
-        return len(set(self.labels.tolist()))
 
 
 def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,10 +131,6 @@ def pca2(points: np.ndarray) -> Pca2:
     )
 
 
-EXACT_PAIR_LIMIT = 1000
-SAMPLED_PAIRS = 100_000
-
-
 def bit_matrix(fps: list[int]) -> np.ndarray:
     """One 0/1 float64 row of FP_BITS columns per fingerprint; bit k is column k."""
     raw = np.frombuffer(b"".join(fp.to_bytes(FP_BITS // 8, "little") for fp in fps), np.uint8)
@@ -145,46 +138,19 @@ def bit_matrix(fps: list[int]) -> np.ndarray:
                          bitorder="little").astype(np.float64)
 
 
-@dataclass
-class DiversityReport:
-    mean_pairwise_tanimoto: float
-    n_clusters: int
-    exact: bool
-
-
-def mean_pairwise_tanimoto(fps: list[int], seed: int = 0) -> tuple[float, bool]:
-    """Exact mean over all pairs up to EXACT_PAIR_LIMIT molecules, otherwise
-    a seeded sample of SAMPLED_PAIRS distinct index pairs."""
+def mean_pairwise_tanimoto(fps: list[int]) -> float:
+    """Exact mean Tanimoto similarity over all pairs of fingerprints."""
     n = len(fps)
     if n < 2:
         raise ValueError("need at least 2 fingerprints")
-    if n <= EXACT_PAIR_LIMIT:
-        mat = bit_matrix(fps)
-        inter = mat @ mat.T
-        ones = mat.sum(axis=1)
-        union = ones[:, None] + ones[None, :] - inter
-        iu = np.triu_indices(n, k=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sims = np.where(union[iu] > 0, inter[iu] / union[iu], 1.0)
-        return float(sims.mean()), True
-    rng = random.Random(seed)
-    total = 0.0
-    for _ in range(SAMPLED_PAIRS):
-        i = rng.randrange(n)
-        j = rng.randrange(n - 1)
-        if j >= i:
-            j += 1
-        total += tanimoto(fps[i], fps[j])
-    return total / SAMPLED_PAIRS, False
-
-
-def diversity(fps: list[int], k: int = 20, seed: int = 0) -> DiversityReport:
-    """Population diversity: mean pairwise Tanimoto plus the number of
-    non-empty clusters at k (capped at the population size)."""
-    mean_sim, exact = mean_pairwise_tanimoto(fps, seed)
-    k_eff = min(k, len(fps))
-    assign = kmeans(bit_matrix(fps), k=k_eff, seed=seed)
-    return DiversityReport(mean_sim, assign.n_nonempty(), exact)
+    mat = bit_matrix(fps)
+    inter = mat @ mat.T
+    ones = mat.sum(axis=1)
+    union = ones[:, None] + ones[None, :] - inter
+    iu = np.triu_indices(n, k=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sims = np.where(union[iu] > 0, inter[iu] / union[iu], 1.0)
+    return float(sims.mean())
 
 
 @dataclass

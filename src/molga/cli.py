@@ -248,8 +248,10 @@ def _is_int(value: Any) -> bool:
 
 
 def _is_number(value: Any) -> bool:
-    # json.load reads NaN and Infinity literals as floats
-    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+    # json.load reads NaN and Infinity literals as floats, and an integer
+    # literal of any size as an int; either must fit in a finite float
+    return (_is_int(value) and abs(value) <= sys.float_info.max
+            or isinstance(value, float) and math.isfinite(value))
 
 
 def _is_number_list(value: Any) -> bool:
@@ -465,7 +467,10 @@ def _cmd_analyze(args) -> int:
         report = json.load(fh)
     snap_dir = os.path.join(args.run_dir, "snapshots")
     if not os.path.isdir(snap_dir):
-        print("error: run has no population snapshots (set snapshot_every)", file=sys.stderr)
+        task = report["task"]
+        advice = ("set snapshot_every" if "snapshot_every" in _RUNNERS[task][1]
+                  else f"task {task!r} writes no population snapshots")
+        print(f"error: run has no population snapshots ({advice})", file=sys.stderr)
         return 1
     config = report["config"]
     ref, _ = load_config_reference(config)

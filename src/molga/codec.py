@@ -96,17 +96,8 @@ class Genotype:
         if max(symbols) >= N_SYMBOLS:
             raise ValueError(f"symbol index {max(symbols)} outside 0..{N_SYMBOLS - 1}")
 
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __iter__(self):
-        return iter(self.symbols)
-
     def text(self) -> str:
         return "".join(SYMBOL_TEXT[s] for s in self.symbols)
-
-    def __str__(self) -> str:
-        return self.text()
 
 
 _TOKEN_RE = re.compile(r"\[[^\[\]]*\]")

@@ -137,9 +137,6 @@ class MolecularGraph:
     def degree(self, i: int) -> int:
         return len(self._adj[i])
 
-    def bond_order_sum(self, i: int) -> int:
-        return sum(o for _, o in self._adj[i])
-
     def bond_order(self, i: int, j: int) -> int | None:
         """The order of the bond between atoms i and j, None if unbonded."""
         for v, o in self._adj[i]:  # four pairs at most in a valid graph
@@ -170,11 +167,6 @@ class MolecularGraph:
 
     def fingerprint(self) -> int:
         return self.memo("fingerprint", _fingerprint)
-
-
-def methane() -> MolecularGraph:
-    """Single-carbon graph; the decoder's fallback and the GA's seed."""
-    return MolecularGraph(["C"], [])
 
 
 def validate(g: MolecularGraph) -> list[str]:

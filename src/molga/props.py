@@ -124,10 +124,6 @@ class NormStats:
     ring_mean: float
     ring_std: float
 
-    @staticmethod
-    def identity() -> "NormStats":
-        return NormStats(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
-
 
 @dataclass(frozen=True)
 class PropertyRecord:

@@ -34,12 +34,6 @@ class BetaSchedule:
     def const(beta: float) -> "BetaSchedule":
         return BetaSchedule(mode="constant", constant=beta)
 
-    @staticmethod
-    def adaptive(low: float = 0.0, high: float = 1000.0, window: int = 20,
-                 epsilon: float = 1e-3) -> "BetaSchedule":
-        return BetaSchedule(mode="adaptive", low=low, high=high,
-                            window=window, epsilon=epsilon)
-
 
 def next_beta(schedule: BetaSchedule, gen: int, best_j_history: Sequence[float]) -> float:
     """Beta for the upcoming generation.

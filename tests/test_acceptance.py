@@ -193,8 +193,8 @@ class TestCriterion07DiversityEffect:
             r10 = run(EvolverConfig(population_size=200, generations=60, seed=seed,
                                     schedule=BetaSchedule.const(10.0),
                                     use_discriminator=True), ref)
-            m0, _ = mean_pairwise_tanimoto([i.graph.fingerprint() for i in r0.population])
-            m10, _ = mean_pairwise_tanimoto([i.graph.fingerprint() for i in r10.population])
+            m0 = mean_pairwise_tanimoto([i.graph.fingerprint() for i in r0.population])
+            m10 = mean_pairwise_tanimoto([i.graph.fingerprint() for i in r10.population])
             wins += m10 < m0
             pairs.append((round(m0, 3), round(m10, 3)))
         ok = wins == len(self.PILOT_CONFIRMED_SEEDS)
@@ -212,8 +212,8 @@ class TestCriterion08AdaptiveRecovery:
     def test_trigger_fires_and_recovers(self, fresh_sample_reference):
         cfg = EvolverConfig(
             population_size=250, generations=300,
-            schedule=BetaSchedule.adaptive(low=0.0, high=1000.0, window=20,
-                                           epsilon=1.0),
+            schedule=BetaSchedule(mode="adaptive", low=0.0, high=1000.0, window=20,
+                                  epsilon=1.0),
             use_discriminator=True, seed=0, max_canonical_len=45,
             max_genotype_len=50,
         )

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from molga.analysis import (
     DegenerateData,
     TooFewPoints,
-    diversity,
     kmeans,
     mean_pairwise_tanimoto,
     pca2,
@@ -14,7 +14,7 @@ from molga.analysis import (
     snapshot_rows_csv,
 )
 from molga.codec import decode, random_genotype
-from molga.graph import fingerprint
+from molga.graph import fingerprint, tanimoto
 
 
 class TestKmeans:
@@ -42,7 +42,7 @@ class TestKmeans:
         for c in range(4):
             members = truth[out.labels == c]
             assert len(set(members.tolist())) == 1
-        assert out.n_nonempty() == 4
+        assert len(set(out.labels.tolist())) == 4
 
     def test_inertia_non_increasing(self):
         rng = np.random.RandomState(1)
@@ -135,34 +135,32 @@ class TestPca2:
 class TestDiversity:
     def test_identical_population(self):
         fp = fingerprint(decode(random_genotype(random.Random(0), 20)))
-        report = diversity([fp] * 10)
-        assert report.mean_pairwise_tanimoto == pytest.approx(1.0)
-        assert report.n_clusters == 1
+        assert mean_pairwise_tanimoto([fp] * 10) == pytest.approx(1.0)
 
     def test_two_families(self):
         a = (1 << 40) - 1  # bits 0-39
         b = ((1 << 40) - 1) << 500  # bits 500-539
-        report = diversity([a] * 5 + [b] * 5, k=2)
-        assert report.mean_pairwise_tanimoto < 1.0
+        # 20 pairs within a family at 1, 25 across at 0
+        assert mean_pairwise_tanimoto([a] * 5 + [b] * 5) == pytest.approx(20 / 45)
 
     def test_diversity_one_iff_identical(self):
         rng = random.Random(1)
         fps = [fingerprint(decode(random_genotype(rng, 25))) for _ in range(12)]
-        report = diversity(fps)
         if len(set(fps)) > 1:
-            assert report.mean_pairwise_tanimoto < 1.0
+            assert mean_pairwise_tanimoto(fps) < 1.0
 
-    def test_exact_vs_sampled_agreement(self):
+    def test_mean_of_pairwise_tanimoto(self):
+        rng = random.Random(1)
+        fps = [fingerprint(decode(random_genotype(rng, 25))) for _ in range(12)]
+        pairs = list(itertools.combinations(fps, 2))
+        expected = sum(tanimoto(a, b) for a, b in pairs) / len(pairs)
+        assert mean_pairwise_tanimoto(fps) == pytest.approx(expected, rel=1e-12)
+
+    def test_exact_for_many_fingerprints(self):
         rng = random.Random(2)
         base = [fingerprint(decode(random_genotype(rng, 30))) for _ in range(40)]
         fps = [base[rng.randrange(len(base))] for _ in range(1500)]
-        exact_subset = fps[:1000]
-        exact, was_exact = mean_pairwise_tanimoto(exact_subset, seed=0)
-        assert was_exact
-        sampled, was_exact2 = mean_pairwise_tanimoto(fps, seed=0)
-        assert not was_exact2
-        full_exact = _exact_mean(fps)
-        assert sampled == pytest.approx(full_exact, abs=0.01)
+        assert mean_pairwise_tanimoto(fps) == pytest.approx(_exact_mean(fps), rel=1e-12)
 
     def test_needs_two(self):
         with pytest.raises(ValueError):

@@ -29,11 +29,15 @@ from test_graph import permuted
 _BOND_CHAR = {1: "", 2: "=", 3: "#"}
 
 
+def bond_order_sum(g: MolecularGraph, i: int) -> int:
+    return sum(o for _, o in g.neighbors(i))
+
+
 def reference_ranks(g: MolecularGraph) -> list[int]:
     n = g.n_atoms
     ring = g.ring_atoms()
     sig: list = [
-        (g.elements[i], g.degree(i), g.bond_order_sum(i), i in ring)
+        (g.elements[i], g.degree(i), bond_order_sum(g, i), i in ring)
         for i in range(n)
     ]
     ranks = _ranks_from_signatures(sig)
@@ -231,7 +235,7 @@ def reference_basis(g: MolecularGraph, target_rank: int) -> tuple[tuple[int, ...
 
     def invariant_key(cycle):
         atom_sig = tuple(sorted(
-            (g.elements[a], g.degree(a), g.bond_order_sum(a)) for a in cycle))
+            (g.elements[a], g.degree(a), bond_order_sum(g, a)) for a in cycle))
         k = len(cycle)
         bond_sig = tuple(sorted(g.bond_order(cycle[i], cycle[(i + 1) % k]) for i in range(k)))
         return (k, atom_sig, bond_sig, cycle)

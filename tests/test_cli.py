@@ -112,6 +112,9 @@ class TestConfig:
          "property_target.targets"),
         ({"task": "adaptive_dt", "adaptive": {"epsilon": float("nan")}}, "adaptive.epsilon"),
         ({"task": "adaptive_dt", "adaptive": {"high": float("inf")}}, "adaptive.high"),
+        # an int too large for a float
+        ({"beta": 10 ** 400}, "beta"),
+        ({"task": "adaptive_dt", "adaptive": {"high": 10 ** 400}}, "adaptive.high"),
     ])
     def test_nonsense_value_rejected(self, doc, key):
         with pytest.raises(ConfigError, match=f"^{key} must"):
@@ -501,6 +504,22 @@ class TestRunDeterminism:
         code, _, err = _run_cli(["analyze", str(out)], capsys)
         assert code == 1
         assert "snapshot" in err
+
+    @pytest.mark.parametrize("task", ["unconstrained", "adaptive_dt", "logp_qed",
+                                      "constrained_similarity", "property_target",
+                                      "random_baseline", "beta_sweep"])
+    def test_analyze_advice_fits_the_task(self, tmp_path, capsys, task):
+        # snapshot_every is advised only to a task whose config accepts it
+        (tmp_path / "run_report.json").write_text(json.dumps({"task": task, "config": {}}))
+        code, _, err = _run_cli(["analyze", str(tmp_path)], capsys)
+        assert code == 1
+        if task in ("unconstrained", "adaptive_dt", "logp_qed"):
+            assert "(set snapshot_every)" in err
+            parse_config({"task": task, "snapshot_every": 1})
+        else:
+            assert f"(task {task!r} writes no population snapshots)" in err
+            with pytest.raises(ConfigError, match="does not read"):
+                parse_config({"task": task, "snapshot_every": 1})
 
 
 _SMALL = {"reference": {"synthetic": 150}, "population_size": 20, "generations": 4,

@@ -270,7 +270,7 @@ class TestMutate:
             parent = random_genotype(random.Random(seed), 99)
             ref_parent = tuple(_SYMBOLS[s] for s in parent.symbols)
             for cap, max_len in ((10, 100), (26, 100), (40, 100), (81, 100),
-                                 (81, len(parent) + 1), (81, len(parent))):
+                                 (81, len(parent.symbols) + 1), (81, len(parent.symbols))):
                 rng_new, rng_ref = random.Random(500 + seed), random.Random(500 + seed)
                 child = mutate(parent, rng_new, cap, max_len)
                 expected = reference_mutate(ref_parent, rng_ref, cap, max_len)

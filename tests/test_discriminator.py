@@ -21,7 +21,7 @@ from molga.discriminator import (
     save_checkpoint,
     train,
 )
-from molga.graph import methane, parse_smiles
+from molga.graph import MolecularGraph, parse_smiles
 
 from helpers import brute_force_diameter
 from test_graph import permuted
@@ -29,7 +29,7 @@ from test_graph import permuted
 
 class TestFeaturize:
     def test_methane(self):
-        f = featurize(methane())
+        f = featurize(MolecularGraph(["C"], []))
         assert f.shape == (N_FEATURES,)
         assert f[0] == 1.0  # carbon fraction
         assert f[7] == 0.0 and f[8] == 0.0  # no rings

@@ -125,7 +125,7 @@ class TestMutate:
         g = parse_genotype("[C]" * 100)
         for _ in range(50):
             out = mutate(g, rng, max_genotype_len=100)
-            assert len(out) <= 100
+            assert len(out.symbols) <= 100
 
 
 class TestStep:
@@ -223,7 +223,8 @@ class TestRun:
         # the schedule keeps no state between runs, so a second run on the
         # same config object starts again at the low weight
         cfg = EvolverConfig(population_size=30, generations=25,
-                            schedule=BetaSchedule.adaptive(0.0, 1000.0, 3, 0.5),
+                            schedule=BetaSchedule(mode="adaptive", low=0.0, high=1000.0,
+                                                  window=3, epsilon=0.5),
                             use_discriminator=True, seed=5)
         ref = synthetic_reference(150, seed=0)
         r1 = run(cfg, ref)

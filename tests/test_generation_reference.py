@@ -216,8 +216,8 @@ def _individuals(rng: random.Random, pool: list[Genotype], n: int) -> list[Indiv
         mol = decode(gt)
         # few distinct scores, so ties at the archive's lowest entry are common
         score = rng.choice((-1.0, 0.0, 0.25, 0.5, 1.0, 2.0))
-        out.append(Individual(genotype=gt, graph=mol,
-                              record=penalized_logp(mol, NormStats.identity()), score=score))
+        record = penalized_logp(mol, NormStats(0.0, 1.0, 0.0, 1.0, 0.0, 1.0))
+        out.append(Individual(genotype=gt, graph=mol, record=record, score=score))
     return out
 
 

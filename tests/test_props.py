@@ -4,7 +4,7 @@ import random
 import pytest
 
 from molga.codec import decode, random_genotype
-from molga.graph import methane, parse_smiles
+from molga.graph import MolecularGraph, parse_smiles
 from molga.props import (
     EmptyReference,
     NormStats,
@@ -19,6 +19,8 @@ from molga.props import (
 
 from test_graph import permuted
 
+IDENTITY = NormStats(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
+
 
 def mol(text):
     return parse_smiles(text)
@@ -26,7 +28,7 @@ def mol(text):
 
 class TestLogp:
     def test_methane(self):
-        assert logp_raw(methane()) == pytest.approx(0.20)
+        assert logp_raw(MolecularGraph(["C"], [])) == pytest.approx(0.20)
 
     def test_sulfur_chain(self):
         assert logp_raw(mol("SSSSSSSS")) == pytest.approx(4.80)
@@ -52,7 +54,7 @@ class TestLogp:
 
 class TestSa:
     def test_methane(self):
-        assert sa_raw(methane()) == pytest.approx(0.05)
+        assert sa_raw(MolecularGraph(["C"], [])) == pytest.approx(0.05)
 
     def test_cyclopentane(self):
         assert sa_raw(mol("C1CCCC1")) == pytest.approx(0.65)
@@ -87,7 +89,7 @@ class TestQed:
 
     def test_methane_frozen_value(self):
         # computed independently from the four-desirability definition
-        assert qed(methane()) == pytest.approx(0.186361033852, abs=1e-9)
+        assert qed(MolecularGraph(["C"], [])) == pytest.approx(0.186361033852, abs=1e-9)
 
     def test_ethanol_frozen_value(self):
         assert qed(mol("CCO")) == pytest.approx(0.290147759821, abs=1e-9)
@@ -118,13 +120,13 @@ class TestInvariance:
 
 class TestNormalization:
     def test_identity_stats_methane(self):
-        rec = penalized_logp(methane(), NormStats.identity())
+        rec = penalized_logp(MolecularGraph(["C"], []), IDENTITY)
         assert rec.j == pytest.approx(0.20 - 0.05 - 0.0)
 
     def test_sigma_floor_on_degenerate_reference(self):
-        stats = fit_norm([methane()] * 10)
+        stats = fit_norm([MolecularGraph(["C"], [])] * 10)
         assert stats.logp_std == pytest.approx(1e-6)
-        rec = penalized_logp(methane(), stats)
+        rec = penalized_logp(MolecularGraph(["C"], []), stats)
         assert math.isfinite(rec.j)
 
     def test_reference_mean_j_is_zero(self):
@@ -148,7 +150,7 @@ class TestNormalization:
 
     def test_monotone_in_logp(self):
         # same size/branching/rings, different element mix: only logp moves
-        stats = NormStats.identity()
+        stats = IDENTITY
         j_c = penalized_logp(mol("CCC"), stats)
         j_n = penalized_logp(mol("NNN"), stats)
         assert j_c.sa_raw == j_n.sa_raw and j_c.ring_raw == j_n.ring_raw
@@ -157,7 +159,7 @@ class TestNormalization:
 
     def test_monotone_in_sa(self):
         # branch point adds sa while logp and rings stay fixed
-        stats = NormStats.identity()
+        stats = IDENTITY
         chain = penalized_logp(mol("CCCCC"), stats)
         branched = penalized_logp(mol("CC(C)CC"), stats)
         assert chain.logp_raw == branched.logp_raw
@@ -165,7 +167,7 @@ class TestNormalization:
         assert branched.j < chain.j
 
     def test_monotone_in_ring_penalty(self):
-        stats = NormStats.identity()
+        stats = IDENTITY
         seven = penalized_logp(mol("C1CCCCCC1"), stats)
         eight = penalized_logp(mol("C1CCCCCCC1"), stats)
         # one extra CH2 raises logp slightly but the ring term dominates here

@@ -21,7 +21,8 @@ class TestEndToEndRecovery:
 
         ref = fresh_sample_reference
         cfg = EvolverConfig(population_size=250, generations=300,
-                            schedule=BetaSchedule.adaptive(0.0, 1000.0, 12, 0.75),
+                            schedule=BetaSchedule(mode="adaptive", low=0.0, high=1000.0,
+                                                  window=12, epsilon=0.75),
                             use_discriminator=True, seed=8,
                             max_canonical_len=45, max_genotype_len=50,
                             snapshot_every=5)
@@ -65,7 +66,7 @@ class TestConstant:
 
 class TestAdaptive:
     def test_flat_history_triggers_high(self):
-        s = BetaSchedule.adaptive(low=0.0, high=1000.0, window=20)
+        s = BetaSchedule(mode="adaptive", low=0.0, high=1000.0, window=20)
         history = []
         betas = []
         for gen in range(25):
@@ -78,7 +79,7 @@ class TestAdaptive:
         assert first_high == 21  # gen0 sets the baseline; 20 stagnant gens follow
 
     def test_release_on_improvement(self):
-        s = BetaSchedule.adaptive(window=3)
+        s = BetaSchedule(mode="adaptive", window=3)
         history = []
         betas = []
         values = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0]
@@ -92,7 +93,7 @@ class TestAdaptive:
         assert betas[idx:] == [1000.0] * (7 - idx) + [0.0] * (len(betas) - 7)
 
     def test_epsilon_filters_tiny_improvements(self):
-        s = BetaSchedule.adaptive(window=2, epsilon=1e-3)
+        s = BetaSchedule(mode="adaptive", window=2, epsilon=1e-3)
         history = []
         betas = []
         # improvements below epsilon must not reset the stagnation counter
@@ -103,14 +104,14 @@ class TestAdaptive:
         assert next_beta(s, 3, history) == 1000.0
 
     def test_history_length_checked(self):
-        s = BetaSchedule.adaptive()
+        s = BetaSchedule(mode="adaptive")
         with pytest.raises(ValueError):
             next_beta(s, 3, [1.0])
 
     def test_trace_structure(self):
         # every low->high edge is preceded by >= window stagnant generations;
         # every high->low edge is preceded by a strict improvement
-        s = BetaSchedule.adaptive(window=4, epsilon=1e-3)
+        s = BetaSchedule(mode="adaptive", window=4, epsilon=1e-3)
         history = []
         betas = []
         values = [1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3]
@@ -129,4 +130,4 @@ class TestAdaptive:
         with pytest.raises(ValueError):
             BetaSchedule(mode="linear")
         with pytest.raises(ValueError):
-            BetaSchedule.adaptive(window=0)
+            BetaSchedule(mode="adaptive", window=0)

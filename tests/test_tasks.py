@@ -171,7 +171,7 @@ class TestPropertyTargetFitness:
 def _identity_stats():
     from molga.props import NormStats
 
-    return NormStats.identity()
+    return NormStats(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
 
 
 class TestRunPropertyTarget:
@@ -406,7 +406,7 @@ class TestBetaSweep:
 
 def _run_adaptive(ref, window, population_size, generations, seed):
     return run(EvolverConfig(population_size=population_size, generations=generations,
-                             seed=seed, schedule=BetaSchedule.adaptive(window=window),
+                             seed=seed, schedule=BetaSchedule(mode="adaptive", window=window),
                              use_discriminator=True), ref)
 
 
