@@ -16,6 +16,10 @@ from .errors import MolgaError
 from .graph import FP_BITS
 
 KMEANS_MAX_ITER = 100
+# a snapshot report clusters the SNAPSHOT_TOP_K best molecules of each
+# snapshot into at most SNAPSHOT_CLUSTERS clusters
+SNAPSHOT_TOP_K = 50
+SNAPSHOT_CLUSTERS = 20
 
 
 class TooFewPoints(MolgaError):
@@ -45,7 +49,7 @@ def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.n
     return labels, np.maximum(d2[np.arange(len(points)), labels], 0.0)
 
 
-def kmeans(points: np.ndarray, k: int = 20, seed: int = 0) -> ClusterAssignment:
+def kmeans(points: np.ndarray, k: int, seed: int) -> ClusterAssignment:
     """Lloyd iterations from a k-means++ seeding.
 
     Runs to an assignment fixed point or KMEANS_MAX_ITER; empty clusters are
@@ -164,8 +168,7 @@ class SnapshotRow:
 
 
 def snapshot_report(snapshots: dict[int, list[tuple[str, float, int]]],
-                    top_k: int = 50, n_clusters: int = 20,
-                    seed: int = 0) -> list[SnapshotRow]:
+                    seed: int) -> list[SnapshotRow]:
     """Cluster the top molecules of each snapshot generation and project
     them onto PCA axes fitted on the union of all snapshots.
 
@@ -176,7 +179,7 @@ def snapshot_report(snapshots: dict[int, list[tuple[str, float, int]]],
     selected: dict[int, list[tuple[str, float, int]]] = {}
     for gen, rows in sorted(snapshots.items()):
         ranked = sorted(rows, key=lambda r: (-r[1], r[0]))
-        selected[gen] = ranked[:top_k]
+        selected[gen] = ranked[:SNAPSHOT_TOP_K]
     all_fps = [fp for rows in selected.values() for (_, _, fp) in rows]
     mat = bit_matrix(all_fps)
     try:
@@ -187,7 +190,7 @@ def snapshot_report(snapshots: dict[int, list[tuple[str, float, int]]],
     out: list[SnapshotRow] = []
     base = 0
     for gen, rows in sorted(selected.items()):
-        k_eff = min(n_clusters, len(rows))
+        k_eff = min(SNAPSHOT_CLUSTERS, len(rows))
         assign = kmeans(mat[base:base + len(rows)], k=k_eff, seed=seed)
         for i, (canon, score, _) in enumerate(rows):
             out.append(SnapshotRow(

@@ -92,10 +92,11 @@ def _evolver_config(config: dict) -> EvolverConfig:
     """The one EvolverConfig of a run config. Tasks that fix beta, the
     discriminator or the population override those fields themselves."""
     if config["task"] == "adaptive_dt":
-        schedule = BetaSchedule(mode="adaptive", **config["adaptive"])
+        schedule = BetaSchedule(**config["adaptive"])
         use_discriminator = True
     else:
-        schedule = BetaSchedule.const(float(config["beta"]))
+        beta = float(config["beta"])
+        schedule = BetaSchedule(low=beta, high=beta)
         use_discriminator = config["use_discriminator"]
         if use_discriminator is None:
             use_discriminator = config["beta"] != 0.0
@@ -158,7 +159,7 @@ def _run_ga(config: dict, ref: ReferenceSet, out_dir: str | None):
         "best_trace": result.best_trace,
         "beta_trace": result.beta_trace,
     }
-    if cfg.schedule.mode == "adaptive":
+    if config["task"] == "adaptive_dt":
         summary["first_trigger"] = tasks.first_trigger_generation(result, cfg.schedule.high)
     return summary, result
 
@@ -284,7 +285,7 @@ _KEYS: dict[str, Any] = {
                          'null, a path, or {"synthetic": N} with N >= 1')),
     "population_size": (_GA.population_size, _integer(1)),
     "generations": (_GA.generations, _integer(0)),
-    "beta": (_BETA.constant, _NUMBER),
+    "beta": (_GA.schedule.low, _NUMBER),
     # None: implied by beta and the task
     "use_discriminator": (None, (lambda value: value is None or isinstance(value, bool),
                                  "true, false or null")),
@@ -386,7 +387,7 @@ def run_task(config: dict, out_dir: str | None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _with_flags(doc: Any, synthetic_reference: int | None = None, **flags: Any) -> dict:
+def _with_flags(doc: Any, synthetic_reference: int | None, **flags: Any) -> dict:
     """The config document with each command-line flag that was given
     written over its key, so a flag is checked as the same key in the file
     would be; --synthetic-reference N is the reference {"synthetic": N}."""
@@ -478,7 +479,7 @@ def _cmd_analyze(args) -> int:
     for name in sorted(os.listdir(snap_dir)):
         if not name.startswith("gen_"):
             continue
-        gen = int(name[4:9])
+        gen = int(name.removeprefix("gen_").removesuffix(".txt"))
         rows = []
         with open(os.path.join(snap_dir, name)) as fh:
             for line in fh:
@@ -487,7 +488,7 @@ def _cmd_analyze(args) -> int:
                 rec = penalized_logp(graph, ref.prop_stats)
                 rows.append((graph.canonical(), rec.j, graph.fingerprint()))
         snapshots[gen] = rows
-    rows = analysis.snapshot_report(snapshots, seed=config["seed"])
+    rows = analysis.snapshot_report(snapshots, config["seed"])
     out_dir = os.path.join(args.run_dir, "analysis")
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "snapshot_clusters.csv")
@@ -558,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -575,4 +576,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -13,7 +13,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .errors import MolgaError
+from .errors import MolgaError, OffsetError
 from .graph import VALENCE, MolecularGraph
 
 
@@ -22,12 +22,8 @@ class UnencodableGraph(MolgaError):
     ring offset or branch, or no conflict-free symbol layout)."""
 
 
-class GenotypeSyntaxError(MolgaError):
+class GenotypeSyntaxError(OffsetError):
     """Malformed genotype text."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (offset {offset})")
-        self.offset = offset
 
 
 class Symbol(enum.IntEnum):

@@ -157,10 +157,6 @@ class FeatureStats:
         std = np.maximum(features.std(axis=0), 1e-6)
         return FeatureStats(mean, std)
 
-    @staticmethod
-    def identity() -> "FeatureStats":
-        return FeatureStats(np.zeros(N_FEATURES), np.ones(N_FEATURES))
-
 
 _WEIGHT_SHAPES = list(zip(LAYER_SIZES, LAYER_SIZES[1:]))
 _BIAS_SHAPES = [(n,) for n in LAYER_SIZES[1:]]
@@ -185,25 +181,23 @@ class DiscriminatorModel:
     by identity (a field-wise == would compare arrays and raise)."""
 
     params: np.ndarray
+    feature_stats: FeatureStats
     m: np.ndarray = field(default_factory=lambda: np.zeros(N_PARAMS))
     v: np.ndarray = field(default_factory=lambda: np.zeros(N_PARAMS))
     step_count: int = 0
-    feature_stats: FeatureStats = field(default_factory=FeatureStats.identity)
 
     def __post_init__(self) -> None:
         self.weights, self.biases = _layer_views(self.params)
 
 
-def init_model(rng, feature_stats: FeatureStats | None = None) -> DiscriminatorModel:
+def init_model(rng, feature_stats: FeatureStats) -> DiscriminatorModel:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases; draws come
     from the caller's RNG stream so runs stay reproducible."""
-    model = DiscriminatorModel(np.zeros(N_PARAMS))
+    model = DiscriminatorModel(np.zeros(N_PARAMS), feature_stats)
     for w in model.weights:
         fan_in, fan_out = w.shape
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         w[:] = [[rng.uniform(-bound, bound) for _ in range(fan_out)] for _ in range(fan_in)]
-    if feature_stats is not None:
-        model.feature_stats = feature_stats
     return model
 
 
@@ -264,18 +258,14 @@ def _mean_loss(terms: np.ndarray) -> float:
     return float(-(np.add.reduce(terms) / len(terms)))
 
 
-def predict(model: DiscriminatorModel, features: np.ndarray) -> float | np.ndarray:
-    """Sigmoid output in (0, 1); accepts one vector or a batch."""
+def predict(model: DiscriminatorModel, features: np.ndarray) -> np.ndarray:
+    """Sigmoid outputs in (0, 1), one per row of the (n, N_FEATURES) batch."""
     f = np.asarray(features, dtype=np.float64)
-    single = f.ndim == 1
-    if single:
-        f = f[None, :]
     if f.shape[1] != N_FEATURES:
         raise ValueError(
             f"feature dimension {f.shape[1]} does not match model input {N_FEATURES}")
     z = (f - model.feature_stats.mean) / model.feature_stats.std
-    p = _forward(model, z, _buffers(len(z)))
-    return float(p[0]) if single else p
+    return _forward(model, z, _buffers(len(z)))
 
 
 def loss_and_gradients(model: DiscriminatorModel, x: np.ndarray, y: np.ndarray):
@@ -315,12 +305,12 @@ def _adam_update(model: DiscriminatorModel, grad: np.ndarray, tmp: np.ndarray,
 
 
 def train(model: DiscriminatorModel, ga_samples: np.ndarray, ref_samples: np.ndarray,
-          epochs: int = EPOCHS, rng=None) -> list[float]:
+          rng) -> list[float]:
     """Train on GA molecules (label 0) vs reference molecules (label 1).
 
-    Mini-batches of 32, shuffled per epoch with the supplied RNG; returns
-    the per-epoch mean loss. A non-finite loss aborts the whole call and
-    restores the entry parameters.
+    EPOCHS epochs of mini-batches of 32, shuffled per epoch with the
+    supplied RNG; returns the per-epoch mean loss. A non-finite loss aborts
+    the whole call and restores the entry parameters.
     """
     if len(ga_samples) == 0 or len(ref_samples) == 0:
         raise ValueError("both sample collections must be non-empty")
@@ -342,9 +332,8 @@ def train(model: DiscriminatorModel, ga_samples: np.ndarray, ref_samples: np.nda
     grad_w, grad_b = _layer_views(grad)
     tmp, tmp2 = np.empty(N_PARAMS), np.empty(N_PARAMS)
     losses: list[float] = []
-    for _ in range(epochs):
-        if rng is not None:
-            rng.shuffle(indices)
+    for _ in range(EPOCHS):
+        rng.shuffle(indices)
         np.take(x, indices, axis=0, out=xs)
         np.take(y, indices, out=ys)
         for batch in batches:

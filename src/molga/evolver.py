@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .codec import N_SYMBOLS, PHENYL_SYMBOLS, Genotype, Symbol, decode
@@ -39,8 +39,7 @@ def fitness(j: float, d: float, beta: float) -> float:
     return j + beta * d
 
 
-def kill_probabilities(fitnesses: Sequence[float],
-                       ages: Sequence[int] | None = None) -> list[float]:
+def kill_probabilities(fitnesses: Sequence[float], ages: Sequence[int]) -> list[float]:
     """Replacement probability from the rank-logistic rule,
     1 / (1 + exp(-KILL_SLOPE * (r - KILL_CENTER))) at normalized rank r.
 
@@ -53,8 +52,6 @@ def kill_probabilities(fitnesses: Sequence[float],
         raise ValueError("empty fitness list")
     if n == 1:
         return [0.0]
-    if ages is None:
-        ages = [0] * n
     order = sorted(range(n), key=lambda i: (-fitnesses[i], ages[i], i))
     probs = [0.0] * n
     for rank, i in enumerate(order):
@@ -73,8 +70,8 @@ def draw_mutation_kind(rng: random.Random) -> str:
     return "replace"
 
 
-def mutate(g: Genotype, rng: random.Random, max_canonical_len: int = 81,
-           max_genotype_len: int = 100) -> Genotype:
+def mutate(g: Genotype, rng: random.Random, max_canonical_len: int,
+           max_genotype_len: int) -> Genotype:
     """Single-symbol insertion/replacement or phenyl-block splice.
 
     The result must decode to a molecule whose canonical form fits
@@ -152,7 +149,7 @@ class GenerationLog:
 class EvolverConfig:
     population_size: int = 500
     generations: int = 100
-    schedule: BetaSchedule = field(default_factory=lambda: BetaSchedule.const(0.0))
+    schedule: BetaSchedule = BetaSchedule(low=0.0, high=0.0)
     use_discriminator: bool = False
     elite_count: int = 1
     parent_selection: str = "uniform-survivors"  # or "top-fraction"
@@ -183,7 +180,7 @@ class Evolver:
     starts generation 0 and `step()` advances one generation."""
 
     def __init__(self, config: EvolverConfig, reference: ReferenceSet,
-                 objective: Objective | None = None):
+                 objective: Objective | None):
         config.validate()
         self.config = config
         self.reference = reference

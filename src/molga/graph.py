@@ -15,7 +15,7 @@ import heapq
 from itertools import chain
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
-from .errors import MolgaError
+from .errors import MolgaError, OffsetError
 
 # Maximum bond-order sum per element. S is capped at 2 (thioether-like), not
 # hypervalent 6; P at 3. Immutable at runtime.
@@ -41,20 +41,12 @@ _SHARED_SIZE = 1 << 15
 _shared: dict[tuple, tuple] = {}
 
 
-class UnsupportedFeature(MolgaError):
+class UnsupportedFeature(OffsetError):
     """SMILES feature outside the supported subset (charges, stereo, ...)."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (offset {offset})")
-        self.offset = offset
 
-
-class SmilesSyntaxError(MolgaError):
+class SmilesSyntaxError(OffsetError):
     """Malformed SMILES input."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (offset {offset})")
-        self.offset = offset
 
 
 class KekulizationFailure(MolgaError):
@@ -678,7 +670,7 @@ def parse_smiles(text: str) -> MolecularGraph:
     branch_stack: list[int] = []
     ring_open: dict[int, tuple[int, int | None]] = {}
 
-    def add_atom(el: str, is_ar: bool, off: int) -> None:
+    def add_atom(el: str, is_ar: bool) -> None:
         nonlocal anchor, pending
         idx = len(elements)
         elements.append(el)
@@ -733,10 +725,10 @@ def parse_smiles(text: str) -> MolecularGraph:
         if ch in _ALIPHATIC:
             if ch == "C" and i + 1 < n and text[i + 1] == "l":
                 raise UnsupportedFeature("element Cl not supported", i)
-            add_atom(ch, False, i)
+            add_atom(ch, False)
             i += 1
         elif ch in _AROMATIC:
-            add_atom(_AROMATIC[ch], True, i)
+            add_atom(_AROMATIC[ch], True)
             i += 1
         elif ch == "B":
             if i + 1 < n and text[i + 1] == "r":

@@ -1,7 +1,7 @@
 """Reference-set ingestion and normalization fitting.
 
-Reads newline-delimited SMILES (with `#` comments), skipping unsupported
-lines with a per-line report, and fits the property z-score statistics; the
+Reads newline-delimited SMILES (with `#` comments), skipping and counting
+unsupported lines, and fits the property z-score statistics; the
 discriminator feature statistics are fit when a discriminator first reads
 them. A synthetic mode generates the reference from random genotypes when
 no file is available.
@@ -10,7 +10,7 @@ no file is available.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .codec import decode, random_genotype
@@ -20,14 +20,17 @@ from .graph import MolecularGraph, canonical_length_in, parse_smiles
 from .props import EmptyReference, NormStats, PropertyRecord, fit_norm, penalized_logp
 
 MIN_USABLE = 100
+# a synthetic reference molecule's canonical length lies in this range; its
+# genotype has at most SYNTHETIC_GENOTYPE_LEN symbols
+SYNTHETIC_MIN_CANONICAL = 10
+SYNTHETIC_MAX_CANONICAL = 81
+SYNTHETIC_GENOTYPE_LEN = 60
 
 
 @dataclass
 class LoadReport:
-    n_lines: int = 0
     n_usable: int = 0
     n_failed: int = 0
-    failures: list[tuple[int, str]] = field(default_factory=list)
 
 
 class ReferenceSet:
@@ -70,36 +73,32 @@ def load_reference(path: str) -> tuple[ReferenceSet, LoadReport]:
     report = LoadReport()
     graphs: list[MolecularGraph] = []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            report.n_lines += 1
             smiles = line.split()[0]
             try:
                 graphs.append(parse_smiles(smiles))
                 report.n_usable += 1
-            except MolgaError as exc:
+            except MolgaError:
                 report.n_failed += 1
-                report.failures.append((lineno, str(exc)))
     if report.n_usable < MIN_USABLE:
         raise EmptyReference(
             f"only {report.n_usable} usable molecules in {path} (need >= {MIN_USABLE})")
     return ReferenceSet(graphs), report
 
 
-def synthetic_reference(n: int, seed: int, min_canonical: int = 10,
-                        max_canonical: int = 81,
-                        max_genotype_len: int = 60) -> ReferenceSet:
+def synthetic_reference(n: int, seed: int) -> ReferenceSet:
     """Random-genotype stand-in for a real reference file.
 
     A sample is kept when its canonical string's length is in
-    [min_canonical, max_canonical]; it is rendered only when the length
-    bounds straddle that range."""
+    [SYNTHETIC_MIN_CANONICAL, SYNTHETIC_MAX_CANONICAL]; it is rendered only
+    when the length bounds straddle that range."""
     rng = random.Random(seed)
     graphs: list[MolecularGraph] = []
     while len(graphs) < n:
-        g = decode(random_genotype(rng, max_genotype_len))
-        if canonical_length_in(g, min_canonical, max_canonical):
+        g = decode(random_genotype(rng, SYNTHETIC_GENOTYPE_LEN))
+        if canonical_length_in(g, SYNTHETIC_MIN_CANONICAL, SYNTHETIC_MAX_CANONICAL):
             graphs.append(g)
     return ReferenceSet(graphs)

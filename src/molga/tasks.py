@@ -29,7 +29,7 @@ SIMILARITY_PENALTY = 1e6
 
 def _without_discriminator(config: EvolverConfig, **changes) -> EvolverConfig:
     """The config with beta fixed at 0 and no discriminator trained."""
-    return replace(config, schedule=BetaSchedule.const(0.0),
+    return replace(config, schedule=BetaSchedule(low=0.0, high=0.0),
                    use_discriminator=False, **changes)
 
 
@@ -72,7 +72,7 @@ class ConstrainedResult:
 
 
 def run_constrained(reference_graph: MolecularGraph, ref: ReferenceSet,
-                    config: EvolverConfig, *, delta: float = 0.4) -> ConstrainedResult:
+                    config: EvolverConfig, *, delta: float) -> ConstrainedResult:
     """Improve one molecule's objective while staying similar to it.
 
     The population starts as copies of the reference molecule, beta is 0,
@@ -141,9 +141,8 @@ def lowest_scoring_references(ref: ReferenceSet, n: int) -> list[int]:
     return candidates[:n]
 
 
-def run_constrained_batch(ref: ReferenceSet, config: EvolverConfig, *,
-                          n_molecules: int = 50,
-                          delta: float = 0.4) -> ConstrainedBatchResult:
+def run_constrained_batch(ref: ReferenceSet, config: EvolverConfig, *, n_molecules: int,
+                          delta: float) -> ConstrainedBatchResult:
     """Constrained improvement over the n lowest-scoring reference molecules."""
     picks = lowest_scoring_references(ref, n_molecules)
     results = [run_constrained(ref.graphs[idx], ref, _nth_run(config, k), delta=delta)
@@ -264,7 +263,7 @@ class PropertyTargetBatchResult:
 
 
 def run_property_target_batch(ref: ReferenceSet, config: EvolverConfig, *,
-                              n_targets: int = 100) -> PropertyTargetBatchResult:
+                              n_targets: int) -> PropertyTargetBatchResult:
     targets = draw_property_targets(ref, n_targets, config.seed)
     results = [run_property_target(t, ref, _nth_run(config, k)) for k, t in enumerate(targets)]
     rate = sum(r.success for r in results) / len(results)
@@ -282,8 +281,8 @@ class LogpQedResult:
     archive_scatter: list[tuple[float, float]]  # (logp_raw, qed) per archive entry
 
 
-def run_logp_qed(ref: ReferenceSet, config: EvolverConfig, *, w_j: float = 1.0,
-                 w_qed: float = 10.0) -> LogpQedResult:
+def run_logp_qed(ref: ReferenceSet, config: EvolverConfig, *, w_j: float,
+                 w_qed: float) -> LogpQedResult:
     """Weighted combination of the penalized-logP objective and QED."""
     if w_j < 0 or w_qed < 0:
         raise ValueError("weights must be non-negative")
@@ -376,9 +375,8 @@ class BaselineResult:
     histogram_counts: list[int]
 
 
-def run_random_baseline(ref: ReferenceSet, n: int, seed: int = 0, *,
-                        max_canonical_len: int = 81,
-                        max_genotype_len: int = 100) -> BaselineResult:
+def run_random_baseline(ref: ReferenceSet, n: int, seed: int, *, max_canonical_len: int,
+                        max_genotype_len: int) -> BaselineResult:
     """Score n random genotypes (canonical length capped); the exploration
     floor the GA must beat.
 
@@ -429,7 +427,7 @@ class BetaSweepResult:
 
 
 def run_beta_sweep(ref: ReferenceSet, config: EvolverConfig, betas: list[float], *,
-                   seeds_per_beta: int = 3) -> BetaSweepResult:
+                   seeds_per_beta: int) -> BetaSweepResult:
     """Unconstrained runs (discriminator always attached) across betas,
     averaged over seeds."""
     if not betas:
@@ -439,7 +437,7 @@ def run_beta_sweep(ref: ReferenceSet, config: EvolverConfig, betas: list[float],
         j_traces, d_traces = [], []
         final_j: list[float] = []
         for s in range(seeds_per_beta):
-            result = run(replace(_nth_run(config, s), schedule=BetaSchedule.const(beta),
+            result = run(replace(_nth_run(config, s), schedule=BetaSchedule(low=beta, high=beta),
                                  use_discriminator=True), ref)
             j_traces.append([log.mean_j for log in result.logs])
             d_traces.append([log.mean_d for log in result.logs])

@@ -13,7 +13,7 @@ import pytest
 from molga.analysis import kmeans, mean_pairwise_tanimoto, pca2
 from molga.cli import bundled_reference_path, determinism_hash, parse_config, run_task
 from molga.codec import decode, encode, parse_genotype, random_genotype
-from molga.discriminator import N_FEATURES, init_model, loss_and_gradients
+from molga.discriminator import N_FEATURES, FeatureStats, init_model, loss_and_gradients
 from molga.evolver import EvolverConfig, draw_mutation_kind, fitness, run
 from molga.graph import canonical, fingerprint, parse_smiles, tanimoto
 from molga.props import penalized_logp
@@ -99,7 +99,7 @@ class TestCriterion02RoundTrip:
 class TestCriterion03GradientCheck:
     def test_analytic_vs_central_differences(self):
         rng = random.Random(17)
-        model = init_model(rng)
+        model = init_model(rng, FeatureStats(np.zeros(N_FEATURES), np.ones(N_FEATURES)))
         rs = np.random.RandomState(11)
         x = rs.standard_normal((32, N_FEATURES))
         y = (rs.random_sample(32) > 0.5).astype(float)
@@ -162,9 +162,10 @@ class TestCriterion06OptimizationOrdering:
         gains = []
         for seed in range(10):
             ga = run(EvolverConfig(population_size=100, generations=100, seed=seed,
-                                   schedule=BetaSchedule.const(0.0),
+                                   schedule=BetaSchedule(low=0.0, high=0.0),
                                    use_discriminator=False), bundle)
-            base = run_random_baseline(bundle, 10_000, seed=seed)
+            base = run_random_baseline(bundle, 10_000, seed=seed, max_canonical_len=81,
+                                       max_genotype_len=100)
             wins += ga.best_trace[-1] > base.max_j
             margins.append(ga.best_trace[-1] - base.max_j)
             gains.append(ga.best_trace[-1] - methane_j)
@@ -188,10 +189,10 @@ class TestCriterion07DiversityEffect:
         pairs = []
         for seed in self.PILOT_CONFIRMED_SEEDS:
             r0 = run(EvolverConfig(population_size=200, generations=60, seed=seed,
-                                   schedule=BetaSchedule.const(0.0),
+                                   schedule=BetaSchedule(low=0.0, high=0.0),
                                    use_discriminator=False), ref)
             r10 = run(EvolverConfig(population_size=200, generations=60, seed=seed,
-                                    schedule=BetaSchedule.const(10.0),
+                                    schedule=BetaSchedule(low=10.0, high=10.0),
                                     use_discriminator=True), ref)
             m0 = mean_pairwise_tanimoto([i.graph.fingerprint() for i in r0.population])
             m10 = mean_pairwise_tanimoto([i.graph.fingerprint() for i in r10.population])
@@ -212,8 +213,7 @@ class TestCriterion08AdaptiveRecovery:
     def test_trigger_fires_and_recovers(self, fresh_sample_reference):
         cfg = EvolverConfig(
             population_size=250, generations=300,
-            schedule=BetaSchedule(mode="adaptive", low=0.0, high=1000.0, window=20,
-                                  epsilon=1.0),
+            schedule=BetaSchedule(low=0.0, high=1000.0, window=20, epsilon=1.0),
             use_discriminator=True, seed=0, max_canonical_len=45,
             max_genotype_len=50,
         )

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from molga import analysis
 from molga.analysis import (
     DegenerateData,
     TooFewPoints,
@@ -53,7 +54,7 @@ class TestKmeans:
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
-            kmeans(np.zeros((3, 2)), k=4)
+            kmeans(np.zeros((3, 2)), k=4, seed=0)
 
     def test_deterministic(self):
         rng = np.random.RandomState(2)
@@ -191,34 +192,41 @@ class TestSnapshotReport:
             snaps[gen] = rows
         return snaps
 
-    def test_rows_structure(self):
-        rows = snapshot_report(self._fake_snapshots(), top_k=10, n_clusters=3, seed=1)
+    def test_rows_structure(self, monkeypatch):
+        monkeypatch.setattr(analysis, "SNAPSHOT_TOP_K", 10)
+        monkeypatch.setattr(analysis, "SNAPSHOT_CLUSTERS", 3)
+        rows = snapshot_report(self._fake_snapshots(), seed=1)
         assert len(rows) == 30  # 10 per snapshot
         gens = {r.generation for r in rows}
         assert gens == {0, 5, 10}
         for r in rows:
             assert 0 <= r.cluster < 3
 
-    def test_top_k_selection(self):
-        rows = snapshot_report(self._fake_snapshots(), top_k=5, n_clusters=2, seed=1)
+    def test_top_k_selection(self, monkeypatch):
+        monkeypatch.setattr(analysis, "SNAPSHOT_TOP_K", 5)
+        monkeypatch.setattr(analysis, "SNAPSHOT_CLUSTERS", 2)
+        rows = snapshot_report(self._fake_snapshots(), seed=1)
         by_gen = {}
         for r in rows:
             by_gen.setdefault(r.generation, []).append(r.score)
         for scores in by_gen.values():
             assert sorted(scores) == [25.0, 26.0, 27.0, 28.0, 29.0]
 
-    def test_deterministic_csv(self):
-        a = snapshot_rows_csv(snapshot_report(self._fake_snapshots(), top_k=8, seed=2))
-        b = snapshot_rows_csv(snapshot_report(self._fake_snapshots(), top_k=8, seed=2))
+    def test_deterministic_csv(self, monkeypatch):
+        monkeypatch.setattr(analysis, "SNAPSHOT_TOP_K", 8)
+        a = snapshot_rows_csv(snapshot_report(self._fake_snapshots(), seed=2))
+        b = snapshot_rows_csv(snapshot_report(self._fake_snapshots(), seed=2))
         assert a == b
         assert a.startswith("generation,canonical,score,cluster,pca_x,pca_y")
 
-    def test_single_homogeneous_snapshot(self):
+    def test_single_homogeneous_snapshot(self, monkeypatch):
         g = decode(random_genotype(random.Random(3), 20))
         snaps = {0: [(g.canonical(), 1.0, fingerprint(g))] * 12}
-        rows = snapshot_report(snaps, top_k=12, n_clusters=4, seed=0)
+        monkeypatch.setattr(analysis, "SNAPSHOT_TOP_K", 12)
+        monkeypatch.setattr(analysis, "SNAPSHOT_CLUSTERS", 4)
+        rows = snapshot_report(snaps, seed=0)
         assert len({r.cluster for r in rows}) == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            snapshot_report({})
+            snapshot_report({}, seed=0)

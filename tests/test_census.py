@@ -1,4 +1,6 @@
-"""Call census: every function and method in src/molga is entered by a
+"""Two censuses of src/molga.
+
+The call census: every function and method in src/molga is entered by a
 command, or it is on ALLOWED with the reason it stays.
 
 One fresh interpreter sets `sys.setprofile` before it imports molga, then
@@ -11,7 +13,17 @@ level and in class bodies, listed with `ast` and keyed by (file, first
 line); for a decorated function the first line is that of its first
 decorator, as in `co_firstlineno`.
 
-Run it alone with `PYTHONPATH=src python -m pytest -q tests/test_census.py`.
+The census of defaults: a parameter default stays only when the calls in
+src/molga give the parameter two values, that is when at least one call
+passes it and at least one does not. Calls are found by name with `ast`
+(a class's `__init__` by the class name), and a call passes a parameter by
+keyword, by position, or through `*args` or `**kwargs`. Calls from tests
+do not count. A default that no call passes should be a constant, and one
+that every call passes should not be a default. Exceptions go on
+DEFAULTS_ALLOWED with their reason.
+
+Run both alone with `PYTHONPATH=src python -m pytest -q tests/test_census.py`,
+or the census of defaults alone with `-k defaults`.
 """
 
 from __future__ import annotations
@@ -187,6 +199,99 @@ def test_every_function_is_entered_or_allowed(tmp_path):
 def test_allow_list_entries_give_a_reason():
     assert len(ALLOWED) <= 11
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+# "<module>.<function>(<parameter>)": why the default stays with one value in use
+DEFAULTS_ALLOWED: dict[str, str] = {}
+
+
+def _modules() -> list[tuple[str, ast.Module]]:
+    """(module name, syntax tree) of every module of src/molga."""
+    out = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as fh:
+                out.append((name[:-3], ast.parse(fh.read())))
+    return out
+
+
+def _defaults() -> list[tuple[str, str, int, str, int | None]]:
+    """(qualified name, name a call uses, leading parameters a call binds
+    itself, parameter, position or None if keyword-only) of every parameter
+    default of every def in src/molga."""
+    out = []
+
+    def visit(node: ast.AST, path: str, cls: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                bound = int(cls is not None and not static)  # self or cls
+                callee = cls if child.name == "__init__" else child.name
+                qualified = f"{path}.{'' if cls is None else cls + '.'}{child.name}"
+                first = len(positional) - len(args.defaults)
+                for i in range(first, len(positional)):
+                    out.append((qualified, callee, bound, positional[i].arg, i))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        out.append((qualified, callee, bound, arg.arg, None))
+                visit(child, path, None)
+            else:
+                visit(child, path, cls)
+
+    for module, tree in _modules():
+        visit(tree, module, None)
+    return out
+
+
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call in src/molga, by the name it calls: `f(...)` and `x.f(...)`
+    are both calls to f."""
+    out: dict[str, list[ast.Call]] = {}
+    for _, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = (func.id if isinstance(func, ast.Name)
+                          else func.attr if isinstance(func, ast.Attribute) else None)
+                if callee is not None:
+                    out.setdefault(callee, []).append(node)
+    return out
+
+
+def _passes(call: ast.Call, param: str, bound: int, position: int | None) -> bool:
+    if any(kw.arg in (param, None) for kw in call.keywords):  # None: **kwargs
+        return True
+    if position is None:
+        return False
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or position - bound < len(call.args))
+
+
+def test_defaults_have_two_values_in_use():
+    calls = _calls()
+    faults = []
+    for qualified, callee, bound, param, position in _defaults():
+        key = f"{qualified}({param})"
+        if key in DEFAULTS_ALLOWED:
+            continue
+        passed = [_passes(c, param, bound, position) for c in calls.get(callee, [])]
+        if not any(passed):
+            faults.append(f"{key}: never passed: make it a constant")
+        elif all(passed):
+            faults.append(f"{key}: passed by every caller: drop the default")
+    assert faults == [], "\n".join(faults)
+
+
+def test_defaults_allow_list_is_current():
+    defined = {f"{qualified}({param})" for qualified, _, _, param, _ in _defaults()}
+    assert sorted(set(DEFAULTS_ALLOWED) - defined) == []
+    assert all(reason.strip() for reason in DEFAULTS_ALLOWED.values())
 
 
 if __name__ == "__main__":

@@ -190,9 +190,8 @@ class TestConfig:
 class TestReferenceLoading:
     def test_bundled_reference(self):
         ref, report = load_reference(bundled_reference_path())
-        assert report.n_usable >= 0.95 * report.n_lines
+        assert report.n_usable >= 0.95 * (report.n_usable + report.n_failed)
         assert report.n_usable == 1000
-        assert len(report.failures) == report.n_failed
 
     def test_unusable_file_raises(self, tmp_path):
         path = tmp_path / "bad.smi"
@@ -492,6 +491,20 @@ class TestRunDeterminism:
         assert rows and len(long_rows) == 4 * len(rows)
         canonicals = [r.split(",")[1] for r in rows]
         assert [r.split(",")[1] for r in long_rows] == [c for c in canonicals for _ in range(4)]
+
+    def test_analyze_reads_generations_of_any_width(self, tiny_config, tmp_path, capsys):
+        # snapshots are named gen_{gen:05d}.txt: from generation 100,000 on
+        # the number has six digits
+        out = tmp_path / "wide"
+        assert main(["run", tiny_config, "--out", str(out)]) == 0
+        snap_dir = out / "snapshots"
+        os.rename(snap_dir / "gen_00000.txt", snap_dir / "gen_10000.txt")
+        os.rename(snap_dir / "gen_00005.txt", snap_dir / "gen_100000.txt")
+        code, _, err = _run_cli(["analyze", str(out)], capsys)
+        assert code == 0, err
+        rows = (out / "analysis" / "snapshot_clusters.csv").read_text().splitlines()[1:]
+        generations = [int(r.split(",")[0]) for r in rows]
+        assert generations == [10000] * 25 + [100000] * 25
 
     def test_analyze_without_snapshots(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from molga.codec import decode, random_genotype
+from molga import discriminator
 from molga.discriminator import (
     LAYER_SIZES,
     N_FEATURES,
@@ -25,6 +26,8 @@ from molga.graph import MolecularGraph, parse_smiles
 
 from helpers import brute_force_diameter
 from test_graph import permuted
+
+IDENTITY = FeatureStats(np.zeros(N_FEATURES), np.ones(N_FEATURES))
 
 
 class TestFeaturize:
@@ -97,34 +100,34 @@ class TestMaxChainLength:
 
 class TestPredict:
     def test_zero_parameters_give_half(self):
-        model = init_model(random.Random(0))
+        model = init_model(random.Random(0), IDENTITY)
         for w in model.weights:
             w[:] = 0.0
-        assert predict(model, np.zeros(N_FEATURES)) == pytest.approx(0.5)
-        assert predict(model, np.ones(N_FEATURES)) == pytest.approx(0.5)
+        assert predict(model, np.zeros((1, N_FEATURES)))[0] == pytest.approx(0.5)
+        assert predict(model, np.ones((1, N_FEATURES)))[0] == pytest.approx(0.5)
 
     def test_output_in_open_interval(self):
-        model = init_model(random.Random(1))
+        model = init_model(random.Random(1), IDENTITY)
         rng = np.random.RandomState(2)
         for _ in range(100):
-            p = predict(model, rng.standard_normal(N_FEATURES) * 10)
+            p = predict(model, rng.standard_normal((1, N_FEATURES)) * 10)[0]
             assert 0.0 < p < 1.0
 
     def test_dimension_mismatch_is_an_error(self):
-        model = init_model(random.Random(0))
+        model = init_model(random.Random(0), IDENTITY)
         with pytest.raises(ValueError):
-            predict(model, np.zeros(N_FEATURES + 1))
+            predict(model, np.zeros((1, N_FEATURES + 1)))
 
     def test_batch_prediction_matches_single(self):
-        model = init_model(random.Random(3))
+        model = init_model(random.Random(3), IDENTITY)
         x = np.random.RandomState(0).standard_normal((5, N_FEATURES))
         batch = predict(model, x)
-        singles = [predict(model, x[i]) for i in range(5)]
+        singles = [predict(model, x[i:i + 1])[0] for i in range(5)]
         assert np.allclose(batch, singles)
 
     def test_deterministic(self):
-        model = init_model(random.Random(4))
-        x = np.arange(N_FEATURES, dtype=float)
+        model = init_model(random.Random(4), IDENTITY)
+        x = np.arange(N_FEATURES, dtype=float)[None, :]
         assert predict(model, x) == predict(model, x)
 
 
@@ -144,13 +147,13 @@ class TestTrain:
         y = np.concatenate([np.zeros(200), np.ones(200)])
         losses = []
         for seed in range(5):
-            model = init_model(random.Random(seed))
+            model = init_model(random.Random(seed), IDENTITY)
             loss, _, _ = loss_and_gradients(model, x, y)
             losses.append(loss)
         assert np.mean(losses) == pytest.approx(math.log(2), abs=0.05)
 
     def test_loss_at_exactly_half_is_ln2(self):
-        model = init_model(random.Random(0))
+        model = init_model(random.Random(0), IDENTITY)
         for w in model.weights:
             w[:] = 0.0
         x = np.random.RandomState(3).standard_normal((64, N_FEATURES))
@@ -160,8 +163,8 @@ class TestTrain:
 
     def test_separable_blobs_reach_accuracy(self):
         a, b = _blobs()
-        model = init_model(random.Random(0))
-        train(model, a, b, epochs=10, rng=random.Random(1))
+        model = init_model(random.Random(0), IDENTITY)
+        train(model, a, b, rng=random.Random(1))
         pa = predict(model, a)
         pb = predict(model, b)
         acc = (np.sum(pa < 0.5) + np.sum(pb >= 0.5)) / (len(a) + len(b))
@@ -169,19 +172,20 @@ class TestTrain:
 
     def test_loss_trace_deterministic(self):
         a, b = _blobs()
-        t1 = train(init_model(random.Random(7)), a, b, rng=random.Random(5))
-        t2 = train(init_model(random.Random(7)), a, b, rng=random.Random(5))
+        t1 = train(init_model(random.Random(7), IDENTITY), a, b, rng=random.Random(5))
+        t2 = train(init_model(random.Random(7), IDENTITY), a, b, rng=random.Random(5))
         assert t1 == t2
         assert len(t1) == 10
 
     def test_empty_collection_rejected(self):
-        model = init_model(random.Random(0))
+        model = init_model(random.Random(0), IDENTITY)
         with pytest.raises(ValueError):
-            train(model, np.zeros((0, N_FEATURES)), np.zeros((3, N_FEATURES)))
+            train(model, np.zeros((0, N_FEATURES)), np.zeros((3, N_FEATURES)),
+                  rng=random.Random(0))
 
     def test_non_finite_loss_restores_parameters(self):
         a, b = _blobs(50)
-        model = init_model(random.Random(0))
+        model = init_model(random.Random(0), IDENTITY)
         model.weights[0][:] = np.inf
         before = [w.copy() for w in model.weights]
         # inf * 0 in the forward pass is the point of this test, not a warning
@@ -194,7 +198,7 @@ class TestTrain:
 class TestGradientCheck:
     def test_analytic_matches_central_differences(self):
         rng = random.Random(11)
-        model = init_model(rng)
+        model = init_model(rng, IDENTITY)
         rs = np.random.RandomState(13)
         x = rs.standard_normal((24, N_FEATURES))
         y = (rs.random_sample(24) > 0.5).astype(float)
@@ -236,7 +240,7 @@ class TestStagnationMemory:
         ga = np.concatenate([fam] * 20)
         trace = []
         for _ in range(30):
-            train(model, ga, ref, epochs=10, rng=rng)
+            train(model, ga, ref, rng=rng)
             trace.append(float(np.mean(predict(model, fam))))
         for prev, cur in zip(trace, trace[1:]):
             assert cur <= prev + 1e-9  # monotone decay, plateaus allowed
@@ -244,11 +248,12 @@ class TestStagnationMemory:
 
 
 class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip(self, tmp_path, monkeypatch):
         rng = random.Random(5)
-        model = init_model(rng, FeatureStats.identity())
+        model = init_model(rng, IDENTITY)
         a, b = _blobs(40)
-        train(model, a, b, epochs=2, rng=random.Random(1))
+        monkeypatch.setattr(discriminator, "EPOCHS", 2)
+        train(model, a, b, rng=random.Random(1))
         path = tmp_path / "model.json"
         save_checkpoint(model, str(path))
         loaded = load_checkpoint(str(path))
@@ -257,7 +262,7 @@ class TestCheckpoint:
         assert loaded.step_count == model.step_count
 
     def test_dimension_validation(self, tmp_path):
-        model = init_model(random.Random(0))
+        model = init_model(random.Random(0), IDENTITY)
         path = tmp_path / "model.json"
         save_checkpoint(model, str(path))
         doc = json.loads(path.read_text())
@@ -266,15 +271,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(str(path))
 
-    def test_adam_moments_survive(self, tmp_path):
+    def test_adam_moments_survive(self, tmp_path, monkeypatch):
         a, b = _blobs(40)
-        model = init_model(random.Random(5))
-        train(model, a, b, epochs=2, rng=random.Random(1))
+        model = init_model(random.Random(5), IDENTITY)
+        monkeypatch.setattr(discriminator, "EPOCHS", 2)
+        train(model, a, b, rng=random.Random(1))
         path = tmp_path / "model.json"
         save_checkpoint(model, str(path))
         loaded = load_checkpoint(str(path))
-        train(model, a, b, epochs=1, rng=random.Random(2))
-        train(loaded, a, b, epochs=1, rng=random.Random(2))
+        monkeypatch.setattr(discriminator, "EPOCHS", 1)
+        train(model, a, b, rng=random.Random(2))
+        train(loaded, a, b, rng=random.Random(2))
         assert loaded.step_count == model.step_count
         assert np.array_equal(loaded.params, model.params)
 
@@ -286,7 +293,7 @@ class TestCheckpoint:
     ])
     def test_shape_validation(self, tmp_path, key, value):
         path = tmp_path / "model.json"
-        save_checkpoint(init_model(random.Random(0)), str(path))
+        save_checkpoint(init_model(random.Random(0), IDENTITY), str(path))
         doc = json.loads(path.read_text())
         doc[key] = value
         path.write_text(json.dumps(doc))
@@ -302,13 +309,13 @@ class TestCheckpoint:
 
 class TestInit:
     def test_layer_sizes(self):
-        model = init_model(random.Random(0))
+        model = init_model(random.Random(0), IDENTITY)
         dims = [w.shape for w in model.weights]
         assert dims == [(16, 32), (32, 16), (16, 1)]
         assert LAYER_SIZES == (16, 32, 16, 1)
 
     def test_biases_zero_weights_bounded(self):
-        model = init_model(random.Random(0))
+        model = init_model(random.Random(0), IDENTITY)
         for b in model.biases:
             assert np.all(b == 0.0)
         for w, (fi, fo) in zip(model.weights, [(16, 32), (32, 16), (16, 1)]):
@@ -316,14 +323,14 @@ class TestInit:
             assert np.all(np.abs(w) <= bound)
 
     def test_seeded_init_deterministic(self):
-        m1 = init_model(random.Random(42))
-        m2 = init_model(random.Random(42))
+        m1 = init_model(random.Random(42), IDENTITY)
+        m2 = init_model(random.Random(42), IDENTITY)
         for w1, w2 in zip(m1.weights, m2.weights):
             assert np.array_equal(w1, w2)
 
     def test_models_compare_by_identity(self):
         # a field-wise == would compare the numpy vectors and raise
-        m1 = init_model(random.Random(0))
-        m2 = init_model(random.Random(0))
+        m1 = init_model(random.Random(0), IDENTITY)
+        m2 = init_model(random.Random(0), IDENTITY)
         assert m1 == m1
         assert m1 != m2

@@ -42,7 +42,7 @@ class TestFitness:
 class TestFeatures:
     def test_individuals_sharing_a_graph_share_one_read_only_vector(self, ref):
         ev = Evolver(EvolverConfig(population_size=2, generations=0,
-                                   schedule=BetaSchedule.const(0.0), seed=0), ref)
+                                   schedule=BetaSchedule(low=0.0, high=0.0), seed=0), ref, None)
         a = ev._evaluate(parse_genotype("[C][C][Branch1][C][O][N]"))
         b = ev._evaluate(parse_genotype("[C][C][Branch1][C][O][N]"))
         assert a is not b and a.graph is b.graph
@@ -53,24 +53,24 @@ class TestFeatures:
 
 class TestKillProbabilities:
     def test_median_rank_is_half(self):
-        probs = kill_probabilities(list(range(11)))
+        probs = kill_probabilities(list(range(11)), [0] * 11)
         # fitness 5 is the median: normalized rank 0.5
         assert probs[5] == pytest.approx(0.5)
 
     def test_best_of_501(self):
         fits = list(range(501))
-        probs = kill_probabilities(fits)
+        probs = kill_probabilities(fits, [0] * 501)
         assert probs[500] == pytest.approx(1 / (1 + math.exp(5.0)), rel=1e-9)
 
     def test_monotone_in_rank(self):
         fits = [random.Random(0).random() for _ in range(100)]
-        probs = kill_probabilities(fits)
+        probs = kill_probabilities(fits, [0] * 100)
         ranked = sorted(range(100), key=lambda i: -fits[i])
         seq = [probs[i] for i in ranked]
         assert all(a <= b for a, b in zip(seq, seq[1:]))
 
     def test_single_member_never_killed(self):
-        assert kill_probabilities([3.0]) == [0.0]
+        assert kill_probabilities([3.0], [0]) == [0.0]
 
     def test_tie_break_younger_first(self):
         # equal fitness: the younger individual gets the better (lower) rank
@@ -79,7 +79,7 @@ class TestKillProbabilities:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            kill_probabilities([])
+            kill_probabilities([], [])
 
 
 class TestMutate:
@@ -97,7 +97,7 @@ class TestMutate:
         rng = random.Random(1)
         g = Genotype((Symbol.C,))
         for _ in range(500):
-            g = mutate(g, rng)
+            g = mutate(g, rng, 81, 100)
             assert valence_ok(decode(g))
             assert len(decode(g).canonical()) <= 81
 
@@ -124,22 +124,22 @@ class TestMutate:
         rng = random.Random(4)
         g = parse_genotype("[C]" * 100)
         for _ in range(50):
-            out = mutate(g, rng, max_genotype_len=100)
+            out = mutate(g, rng, max_canonical_len=81, max_genotype_len=100)
             assert len(out.symbols) <= 100
 
 
 class TestStep:
     def test_all_methane_produces_mutants(self, ref):
         cfg = EvolverConfig(population_size=100, generations=1,
-                            schedule=BetaSchedule.const(0.0), seed=0)
+                            schedule=BetaSchedule(low=0.0, high=0.0), seed=0)
         result = run(cfg, ref)
         texts = {ind.canonical for ind in result.population}
         assert len(texts) > 1  # at least one accepted mutation
 
     def test_elite_retention_monotone_max_f(self, ref):
         cfg = EvolverConfig(population_size=60, generations=15,
-                            schedule=BetaSchedule.const(0.0), seed=1)
-        ev = Evolver(cfg, ref)
+                            schedule=BetaSchedule(low=0.0, high=0.0), seed=1)
+        ev = Evolver(cfg, ref, None)
         ev.initialize()
         prev = max(i.fitness for i in ev.population)
         for _ in range(15):
@@ -150,13 +150,13 @@ class TestStep:
 
     def test_population_size_invariant(self, ref):
         cfg = EvolverConfig(population_size=37, generations=5,
-                            schedule=BetaSchedule.const(0.0), seed=2)
+                            schedule=BetaSchedule(low=0.0, high=0.0), seed=2)
         result = run(cfg, ref)
         assert len(result.population) == 37
 
     def test_reference_sample_count(self, ref, monkeypatch):
         cfg = EvolverConfig(population_size=25, generations=1,
-                            schedule=BetaSchedule.const(5.0),
+                            schedule=BetaSchedule(low=5.0, high=5.0),
                             use_discriminator=True, seed=3)
         ref_rows = []
         train = evolver.train
@@ -166,15 +166,15 @@ class TestStep:
             return train(model, ga_feats, ref_feats, rng=rng)
 
         monkeypatch.setattr(evolver, "train", counting_train)
-        ev = Evolver(cfg, ref)
+        ev = Evolver(cfg, ref, None)
         ev.initialize()
         ev.step(5.0)
         assert ref_rows == [25]
 
     def test_ages_update(self, ref):
         cfg = EvolverConfig(population_size=30, generations=0,
-                            schedule=BetaSchedule.const(0.0), seed=4)
-        ev = Evolver(cfg, ref)
+                            schedule=BetaSchedule(low=0.0, high=0.0), seed=4)
+        ev = Evolver(cfg, ref, None)
         ev.initialize()
         assert all(i.age == 0 for i in ev.population)
         log = ev.step(0.0)
@@ -191,7 +191,7 @@ class TestGenerationLog:
     ])
     def test_max_f_is_the_best_fitness_of_the_logged_population(self, ref, beta, objective):
         cfg = EvolverConfig(population_size=30, generations=4,
-                            schedule=BetaSchedule.const(beta),
+                            schedule=BetaSchedule(low=beta, high=beta),
                             use_discriminator=beta > 0, seed=7)
         ev = Evolver(cfg, ref, objective)
         for gen in range(5):
@@ -202,7 +202,7 @@ class TestGenerationLog:
 class TestRun:
     def test_zero_generations_archive_is_methane(self, ref):
         cfg = EvolverConfig(population_size=10, generations=0,
-                            schedule=BetaSchedule.const(0.0), seed=0)
+                            schedule=BetaSchedule(low=0.0, high=0.0), seed=0)
         result = run(cfg, ref)
         assert len(result.archive) == 1
         assert result.best.canonical == "C"
@@ -210,10 +210,10 @@ class TestRun:
 
     def test_fixed_seed_reproducible(self, ref):
         cfg = EvolverConfig(population_size=40, generations=10,
-                            schedule=BetaSchedule.const(0.0), seed=7)
+                            schedule=BetaSchedule(low=0.0, high=0.0), seed=7)
         r1 = run(cfg, ref)
         cfg2 = EvolverConfig(population_size=40, generations=10,
-                             schedule=BetaSchedule.const(0.0), seed=7)
+                             schedule=BetaSchedule(low=0.0, high=0.0), seed=7)
         r2 = run(cfg2, ref)
         assert [l.csv_row() for l in r1.logs] == [l.csv_row() for l in r2.logs]
         assert ([e.canonical for e in r1.archive_sorted()]
@@ -223,7 +223,7 @@ class TestRun:
         # the schedule keeps no state between runs, so a second run on the
         # same config object starts again at the low weight
         cfg = EvolverConfig(population_size=30, generations=25,
-                            schedule=BetaSchedule(mode="adaptive", low=0.0, high=1000.0,
+                            schedule=BetaSchedule(low=0.0, high=1000.0,
                                                   window=3, epsilon=0.5),
                             use_discriminator=True, seed=5)
         ref = synthetic_reference(150, seed=0)
@@ -235,20 +235,20 @@ class TestRun:
 
     def test_archive_monotone(self, ref):
         cfg = EvolverConfig(population_size=50, generations=20,
-                            schedule=BetaSchedule.const(0.0), seed=9)
+                            schedule=BetaSchedule(low=0.0, high=0.0), seed=9)
         result = run(cfg, ref)
         assert all(b >= a - 1e-12 for a, b in zip(result.best_trace, result.best_trace[1:]))
 
     def test_archive_monotone_with_discriminator(self, ref):
         cfg = EvolverConfig(population_size=40, generations=12,
-                            schedule=BetaSchedule.const(10.0),
+                            schedule=BetaSchedule(low=10.0, high=10.0),
                             use_discriminator=True, seed=10)
         result = run(cfg, ref)
         assert all(b >= a - 1e-12 for a, b in zip(result.best_trace, result.best_trace[1:]))
 
     def test_snapshots_collected(self, ref):
         cfg = EvolverConfig(population_size=20, generations=6,
-                            schedule=BetaSchedule.const(0.0), seed=11,
+                            schedule=BetaSchedule(low=0.0, high=0.0), seed=11,
                             snapshot_every=3)
         result = run(cfg, ref)
         assert sorted(result.snapshots) == [0, 3, 6]
@@ -257,7 +257,7 @@ class TestRun:
     def test_custom_initial_population(self, ref):
         seed_genotype = parse_genotype("[S][S][S][S]")
         cfg = EvolverConfig(population_size=12, generations=0,
-                            schedule=BetaSchedule.const(0.0), seed=12,
+                            schedule=BetaSchedule(low=0.0, high=0.0), seed=12,
                             initial_genotypes=[seed_genotype] * 12)
         result = run(cfg, ref)
         assert all(ind.canonical == "SSSS" for ind in result.population)
@@ -265,7 +265,7 @@ class TestRun:
     def test_objective_override(self, ref):
         # maximize atom count instead of the property objective
         cfg = EvolverConfig(population_size=30, generations=10,
-                            schedule=BetaSchedule.const(0.0), seed=13)
+                            schedule=BetaSchedule(low=0.0, high=0.0), seed=13)
         result = run(cfg, ref, objective=lambda graph, record: graph.n_atoms)
         assert result.best_trace[-1] > 1
 
@@ -281,7 +281,7 @@ class TestRun:
 
     def test_generation_log_csv_shape(self, ref):
         cfg = EvolverConfig(population_size=15, generations=3,
-                            schedule=BetaSchedule.const(0.0), seed=14)
+                            schedule=BetaSchedule(low=0.0, high=0.0), seed=14)
         result = run(cfg, ref)
         assert len(result.logs) == 4
         for log in result.logs:

@@ -56,7 +56,7 @@ class TestDerivedFields:
 class TestRandomBaselineDerivesNothing:
     def test_no_reference_features_or_canonicals(self):
         ref, _ = load_reference(bundled_reference_path())
-        run_random_baseline(ref, 300, seed=0)
+        run_random_baseline(ref, 300, seed=0, max_canonical_len=81, max_genotype_len=100)
         assert not set(DERIVED) & set(vars(ref))
         assert not any("features" in g._cache or "canonical" in g._cache
                        for g in ref.graphs)

@@ -21,7 +21,7 @@ class TestEndToEndRecovery:
 
         ref = fresh_sample_reference
         cfg = EvolverConfig(population_size=250, generations=300,
-                            schedule=BetaSchedule(mode="adaptive", low=0.0, high=1000.0,
+                            schedule=BetaSchedule(low=0.0, high=1000.0,
                                                   window=12, epsilon=0.75),
                             use_discriminator=True, seed=8,
                             max_canonical_len=45, max_genotype_len=50,
@@ -57,16 +57,25 @@ class TestEndToEndRecovery:
 
 class TestConstant:
     def test_always_returns_constant(self):
-        s = BetaSchedule.const(10.0)
+        s = BetaSchedule(low=10.0, high=10.0)
         history = []
         for gen in range(25):
             assert next_beta(s, gen, history) == 10.0
             history.append(float(gen))
 
+    @pytest.mark.parametrize("history", [
+        [],
+        [5.0] * 30,  # stagnates for longer than the window
+        [float(gen) for gen in range(30)],  # improves every generation
+    ])
+    def test_equal_levels_give_a_constant_schedule(self, history):
+        s = BetaSchedule(low=7.5, high=7.5, window=3)
+        assert next_beta(s, len(history), history) == 7.5
+
 
 class TestAdaptive:
     def test_flat_history_triggers_high(self):
-        s = BetaSchedule(mode="adaptive", low=0.0, high=1000.0, window=20)
+        s = BetaSchedule(low=0.0, high=1000.0, window=20)
         history = []
         betas = []
         for gen in range(25):
@@ -79,7 +88,7 @@ class TestAdaptive:
         assert first_high == 21  # gen0 sets the baseline; 20 stagnant gens follow
 
     def test_release_on_improvement(self):
-        s = BetaSchedule(mode="adaptive", window=3)
+        s = BetaSchedule(window=3)
         history = []
         betas = []
         values = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0]
@@ -93,7 +102,7 @@ class TestAdaptive:
         assert betas[idx:] == [1000.0] * (7 - idx) + [0.0] * (len(betas) - 7)
 
     def test_epsilon_filters_tiny_improvements(self):
-        s = BetaSchedule(mode="adaptive", window=2, epsilon=1e-3)
+        s = BetaSchedule(window=2, epsilon=1e-3)
         history = []
         betas = []
         # improvements below epsilon must not reset the stagnation counter
@@ -104,14 +113,14 @@ class TestAdaptive:
         assert next_beta(s, 3, history) == 1000.0
 
     def test_history_length_checked(self):
-        s = BetaSchedule(mode="adaptive")
+        s = BetaSchedule()
         with pytest.raises(ValueError):
             next_beta(s, 3, [1.0])
 
     def test_trace_structure(self):
         # every low->high edge is preceded by >= window stagnant generations;
         # every high->low edge is preceded by a strict improvement
-        s = BetaSchedule(mode="adaptive", window=4, epsilon=1e-3)
+        s = BetaSchedule(window=4, epsilon=1e-3)
         history = []
         betas = []
         values = [1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3]
@@ -128,6 +137,4 @@ class TestAdaptive:
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
-            BetaSchedule(mode="linear")
-        with pytest.raises(ValueError):
-            BetaSchedule(mode="adaptive", window=0)
+            BetaSchedule(window=0)

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from molga import tasks
+from molga import reference, tasks
 from molga.codec import decode, parse_genotype
 from molga.evolver import EvolverConfig, run
 from molga.graph import (
@@ -213,12 +213,13 @@ class TestLogpQed:
         res = run_logp_qed(ref, EvolverConfig(population_size=30, generations=5,
                            seed=3), w_j=1.0, w_qed=0.0)
         base = run(EvolverConfig(population_size=30, generations=5, seed=3,
-                                 schedule=BetaSchedule.const(0.0),
+                                 schedule=BetaSchedule(low=0.0, high=0.0),
                                  use_discriminator=False), ref)
         assert [l.csv_row() for l in res.run.logs] == [l.csv_row() for l in base.logs]
 
     def test_tradeoff_witness(self, ref):
-        res = run_logp_qed(ref, EvolverConfig(population_size=60, generations=25, seed=4))
+        res = run_logp_qed(ref, EvolverConfig(population_size=60, generations=25, seed=4),
+                           w_j=1.0, w_qed=10.0)
         scatter = res.archive_scatter
         best_logp = max(scatter, key=lambda p: p[0])
         best_qed = max(scatter, key=lambda p: p[1])
@@ -227,10 +228,11 @@ class TestLogpQed:
     def test_negative_weights_rejected(self, ref):
         with pytest.raises(ValueError):
             run_logp_qed(ref, EvolverConfig(population_size=10, generations=1, seed=0),
-                         w_j=-1.0)
+                         w_j=-1.0, w_qed=10.0)
 
     def test_scatter_shapes(self, ref):
-        res = run_logp_qed(ref, EvolverConfig(population_size=20, generations=3, seed=5))
+        res = run_logp_qed(ref, EvolverConfig(population_size=20, generations=3, seed=5),
+                           w_j=1.0, w_qed=10.0)
         assert all(len(p) == 2 for p in res.archive_scatter)
 
     def test_edge_sampling_pilot(self):
@@ -253,26 +255,31 @@ class TestLogpQed:
 
 class TestRandomBaseline:
     def test_single_sample(self, ref):
-        res = run_random_baseline(ref, 1, seed=0)
+        res = run_random_baseline(ref, 1, seed=0, max_canonical_len=81,
+                                  max_genotype_len=100)
         assert res.max_j == pytest.approx(res.mean_j)
         assert res.n == 1
 
     def test_canonical_cap_respected(self, ref):
-        res = run_random_baseline(ref, 50, seed=1)
+        res = run_random_baseline(ref, 50, seed=1, max_canonical_len=81,
+                                  max_genotype_len=100)
         assert len(res.best_canonical) <= 81
 
     def test_right_tail_exists(self, ref):
-        res = run_random_baseline(ref, 5000, seed=2)
+        res = run_random_baseline(ref, 5000, seed=2, max_canonical_len=81,
+                                  max_genotype_len=100)
         assert res.max_j > res.mean_j + 2 * res.std_j
 
     def test_deterministic(self, ref):
-        a = run_random_baseline(ref, 100, seed=3)
-        b = run_random_baseline(ref, 100, seed=3)
+        a = run_random_baseline(ref, 100, seed=3, max_canonical_len=81,
+                                max_genotype_len=100)
+        b = run_random_baseline(ref, 100, seed=3, max_canonical_len=81,
+                                max_genotype_len=100)
         assert a.max_j == b.max_j and a.best_canonical == b.best_canonical
 
     def test_rejects_zero(self, ref):
         with pytest.raises(ValueError):
-            run_random_baseline(ref, 0)
+            run_random_baseline(ref, 0, seed=0, max_canonical_len=81, max_genotype_len=100)
 
 
 class TestSummaryMatchesNumpy:
@@ -357,7 +364,8 @@ class TestSamplersMatchRendering:
             return penalized_logp(mol, stats)
 
         monkeypatch.setattr(tasks, "penalized_logp", recording)
-        res = run_random_baseline(ref, 400, seed=5, max_canonical_len=cap)
+        res = run_random_baseline(ref, 400, seed=5, max_canonical_len=cap,
+                                  max_genotype_len=100)
         counts, edges = np.histogram(values, bins=50)
         assert (res.max_j, res.mean_j, res.std_j) == (
             float(np.max(values)), float(np.mean(values)), float(np.std(values)))
@@ -366,7 +374,7 @@ class TestSamplersMatchRendering:
         assert (res.best_canonical, res.best_genotype) == best
         assert scored == kept
 
-    def test_synthetic_reference(self):
+    def test_synthetic_reference(self, monkeypatch):
         rng = random.Random(9)
         kept, outcomes = [], set()
         while len(kept) < 300:
@@ -377,7 +385,8 @@ class TestSamplersMatchRendering:
             if 10 <= len(mol.canonical()) <= 14:
                 kept.append(structure(mol))
         assert outcomes == {"out", "in", "straddles"}
-        built = synthetic_reference(300, seed=9, min_canonical=10, max_canonical=14)
+        monkeypatch.setattr(reference, "SYNTHETIC_MAX_CANONICAL", 14)
+        built = synthetic_reference(300, seed=9)
         assert [structure(mol) for mol in built.graphs] == kept
 
 
@@ -386,7 +395,7 @@ class TestBetaSweep:
         sweep = run_beta_sweep(ref, EvolverConfig(population_size=25,
                                generations=6, seed=9), [0.0], seeds_per_beta=1)
         base = run(EvolverConfig(population_size=25, generations=6,
-                                 seed=9 * 1_000_003, schedule=BetaSchedule.const(0.0),
+                                 seed=9 * 1_000_003, schedule=BetaSchedule(low=0.0, high=0.0),
                                  use_discriminator=True), ref)
         assert sweep.rows[0].mean_j_trace == [l.mean_j for l in base.logs]
         assert sweep.rows[0].mean_d_trace == [l.mean_d for l in base.logs]
@@ -394,7 +403,7 @@ class TestBetaSweep:
     def test_empty_betas_rejected(self, ref):
         with pytest.raises(ValueError):
             run_beta_sweep(ref, EvolverConfig(population_size=100, generations=60,
-                                              seed=0), [])
+                                              seed=0), [], seeds_per_beta=3)
 
     def test_row_shapes(self, ref):
         sweep = run_beta_sweep(ref, EvolverConfig(population_size=20, generations=4,
@@ -406,7 +415,7 @@ class TestBetaSweep:
 
 def _run_adaptive(ref, window, population_size, generations, seed):
     return run(EvolverConfig(population_size=population_size, generations=generations,
-                             seed=seed, schedule=BetaSchedule(mode="adaptive", window=window),
+                             seed=seed, schedule=BetaSchedule(window=window),
                              use_discriminator=True), ref)
 
 
