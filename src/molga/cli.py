@@ -17,6 +17,8 @@ import sys
 import time
 from copy import copy
 from dataclasses import asdict
+from functools import reduce
+from operator import getitem
 from typing import Any
 
 from . import tasks
@@ -141,7 +143,6 @@ def _write_outputs(out_dir: str, report: dict, result: Evolver | None) -> None:
                 with open(os.path.join(snap_dir, f"gen_{gen:05d}.txt"), "w") as fh:
                     for genotype_text, _ in rows:
                         fh.write(genotype_text + "\n")
-    report["determinism_hash"] = determinism_hash(report)
     with open(os.path.join(out_dir, "run_report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
 
@@ -189,8 +190,9 @@ def _run_property_target(config: dict, ref: ReferenceSet, out_dir: str | None):
 
 def _run_logp_qed(config: dict, ref: ReferenceSet, out_dir: str | None):
     w = config["logp_qed"]
-    res = tasks.run_logp_qed(ref, _evolver_config(config), w_j=w["w_j"], w_qed=w["w_qed"])
-    return {"best": _archive_json(res.run), "archive_scatter": res.archive_scatter}, res.run
+    result = tasks.run_logp_qed(ref, _evolver_config(config), w_j=w["w_j"], w_qed=w["w_qed"])
+    scatter = [(e.record.logp_raw, e.record.qed) for e in result.archive_sorted()]
+    return {"best": _archive_json(result), "archive_scatter": scatter}, result
 
 
 def _run_random_baseline(config: dict, ref: ReferenceSet, out_dir: str | None):
@@ -239,9 +241,15 @@ _RUNNERS = {
         _run_beta_sweep, _GA_KEYS - {"snapshot_every", "archive_k"} | {"beta_sweep"}),
 }
 
-# In single-run mode (its first key set) a section reads no batch count.
-_BATCH_COUNTS = {"constrained": ("reference_smiles", "n_molecules"),
-                 "property_target": ("targets", "n_targets")}
+# A key the task reads goes unread when its condition on the parsed config
+# holds: a batch count in single-run mode, top_fraction under uniform
+# parent selection, and beta with no discriminator score to weigh.
+_UNREAD_WHEN = {
+    "constrained.n_molecules": lambda c: bool(c["constrained"]["reference_smiles"]),
+    "property_target.n_targets": lambda c: bool(c["property_target"]["targets"]),
+    "top_fraction": lambda c: c["parent_selection"] != "top-fraction",
+    "beta": lambda c: c["use_discriminator"] is False,
+}
 
 
 def _is_int(value: Any) -> bool:
@@ -352,16 +360,17 @@ def parse_config(doc: dict) -> dict:
     out = _parse(doc, _KEYS)
     if out["elite_count"] > out["population_size"]:
         raise ConfigError("elite_count must be <= population_size")
-    if out["adaptive"]["low"] > out["adaptive"]["high"]:
-        raise ConfigError("adaptive.low must be <= adaptive.high")
+    if not out["adaptive"]["low"] < out["adaptive"]["high"]:
+        raise ConfigError("adaptive.low must be < adaptive.high")
     # a key left at its default changes nothing, so a materialized config
     # (the echo in run_report.json) parses again
     defaults = _parse({}, _KEYS)
     ignored = {key for key in set(doc) - _ALWAYS_READ - _RUNNERS[out["task"]][1]
                if out[key] != defaults[key]}
-    for section, (single, count) in _BATCH_COUNTS.items():
-        if out[section][single] and out[section][count] != defaults[section][count]:
-            ignored.add(f"{section}.{count}")
+    for name, unread in _UNREAD_WHEN.items():
+        path = name.split(".")
+        if unread(out) and reduce(getitem, path, out) != reduce(getitem, path, defaults):
+            ignored.add(name)
     if ignored:
         raise ConfigError(f"task {out['task']!r} does not read {sorted(ignored)}")
     return out
@@ -375,10 +384,9 @@ def run_task(config: dict, out_dir: str | None) -> dict:
     report: dict[str, Any] = {"config": config, "reference": ref_info, "task": task}
     report["result"], result = _RUNNERS[task][0](config, ref, out_dir)
     report["timing"] = {"wall_seconds": time.time() - t_start}
+    report["determinism_hash"] = determinism_hash(report)
     if out_dir:
         _write_outputs(out_dir, report, result)
-    else:
-        report["determinism_hash"] = determinism_hash(report)
     return report
 
 

@@ -39,24 +39,31 @@ def fitness(j: float, d: float, beta: float) -> float:
     return j + beta * d
 
 
-def kill_probabilities(fitnesses: Sequence[float], ages: Sequence[int]) -> list[float]:
+def _ranked(indices: Sequence[int], fitnesses: Sequence[float],
+            ages: Sequence[int]) -> list[int]:
+    """The indices best first: fitness descending, then lower age, then
+    lower index."""
+    return sorted(indices, key=lambda i: (-fitnesses[i], ages[i], i))
+
+
+def kill_probabilities(fitnesses: Sequence[float], ages: Sequence[int],
+                       elite_count: int) -> list[float]:
     """Replacement probability from the rank-logistic rule,
     1 / (1 + exp(-KILL_SLOPE * (r - KILL_CENTER))) at normalized rank r.
 
-    Individuals are ranked by fitness descending (ties: lower age first,
-    then insertion order); normalized rank 0 is the best. A single-member
-    population is never killed.
+    Normalized rank 0 is the best (see `_ranked`). The `elite_count` best
+    ranks get probability 0, and a single-member population is never killed.
     """
     n = len(fitnesses)
     if n == 0:
         raise ValueError("empty fitness list")
     if n == 1:
         return [0.0]
-    order = sorted(range(n), key=lambda i: (-fitnesses[i], ages[i], i))
     probs = [0.0] * n
-    for rank, i in enumerate(order):
-        r = rank / (n - 1)
-        probs[i] = 1.0 / (1.0 + math.exp(-KILL_SLOPE * (r - KILL_CENTER)))
+    for rank, i in enumerate(_ranked(range(n), fitnesses, ages)):
+        if rank >= elite_count:
+            r = rank / (n - 1)
+            probs[i] = 1.0 / (1.0 + math.exp(-KILL_SLOPE * (r - KILL_CENTER)))
     return probs
 
 
@@ -109,7 +116,6 @@ class Individual:
     record: PropertyRecord
     score: float  # objective value (the J slot of the fitness)
     d: float = 0.0
-    fitness: float = 0.0
     age: int = 0
 
     @property
@@ -230,10 +236,6 @@ class Evolver:
     def archive_sorted(self) -> list[ArchiveEntry]:
         return sorted(self.archive.values(), key=lambda e: (-e.score, e.canonical))
 
-    @property
-    def best(self) -> ArchiveEntry:
-        return min(self.archive.values(), key=lambda e: (-e.score, e.canonical))
-
     def best_ever(self) -> float:
         return max(e.score for e in self.archive.values())
 
@@ -255,19 +257,15 @@ class Evolver:
         cfg = self.config
         pop = self.population
         n = len(pop)
-        for ind in pop:
-            ind.fitness = fitness(ind.score, ind.d, beta)
-
-        probs = kill_probabilities([i.fitness for i in pop], [i.age for i in pop])
-        kill = [self.rng.random() < probs[i] for i in range(n)]
-        order = sorted(range(n), key=lambda i: (-pop[i].fitness, pop[i].age, i))
-        for e in order[: cfg.elite_count]:
-            kill[e] = False
+        fits = [fitness(ind.score, ind.d, beta) for ind in pop]
+        ages = [ind.age for ind in pop]
+        probs = kill_probabilities(fits, ages, cfg.elite_count)
+        kill = [self.rng.random() < p for p in probs]  # an elite draws too, against 0
 
         survivors = [i for i in range(n) if not kill[i]]
         killed = [i for i in range(n) if kill[i]]
         if cfg.parent_selection == "top-fraction":
-            ranked = [i for i in order if not kill[i]]
+            ranked = _ranked(survivors, fits, ages)
             pool = ranked[: max(1, int(len(ranked) * cfg.top_fraction))]
         else:
             pool = survivors
@@ -292,15 +290,13 @@ class Evolver:
 
     def _end_generation(self, beta: float, new: list[Individual],
                         n_replaced: int) -> GenerationLog:
-        """Score D and fitness at this generation's beta, archive the new
-        members, and record the generation's trace, log and snapshot."""
+        """Score D, archive the new members, and record the generation's
+        trace, log and snapshot; max_f is the best fitness at `beta`."""
         pop = self.population
         if self.model is not None:
             d = predict(self.model, stack_features(ind.graph for ind in pop))
             for ind, val in zip(pop, d):
                 ind.d = float(val)
-        for ind in pop:
-            ind.fitness = fitness(ind.score, ind.d, beta)
         self._update_archive(new)
         self.best_trace.append(self.best_ever())
         gen = len(self.logs)
@@ -309,7 +305,7 @@ class Evolver:
             generation=gen,
             max_j=best.score,
             mean_j=sum(i.score for i in pop) / len(pop),
-            max_f=max(i.fitness for i in pop),
+            max_f=max(fitness(i.score, i.d, beta) for i in pop),
             mean_d=sum(i.d for i in pop) / len(pop),
             beta=beta,
             n_replaced=n_replaced,

@@ -247,7 +247,7 @@ def run_property_target(targets: PropertyTargets, ref: ReferenceSet,
 
     result = run(_without_discriminator(config), ref, objective,
                  stop_condition=lambda ev: ev.best_ever() > -SUCCESS_SSD)
-    best = result.best
+    best = result.archive_sorted()[0]
     ssd = -best.score
     return PropertyTargetResult(
         targets=targets, success=ssd < SUCCESS_SSD,
@@ -275,14 +275,8 @@ def run_property_target_batch(ref: ReferenceSet, config: EvolverConfig, *,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LogpQedResult:
-    run: Evolver
-    archive_scatter: list[tuple[float, float]]  # (logp_raw, qed) per archive entry
-
-
 def run_logp_qed(ref: ReferenceSet, config: EvolverConfig, *, w_j: float,
-                 w_qed: float) -> LogpQedResult:
+                 w_qed: float) -> Evolver:
     """Weighted combination of the penalized-logP objective and QED."""
     if w_j < 0 or w_qed < 0:
         raise ValueError("weights must be non-negative")
@@ -290,9 +284,7 @@ def run_logp_qed(ref: ReferenceSet, config: EvolverConfig, *, w_j: float,
     def objective(graph: MolecularGraph, record: PropertyRecord) -> float:
         return w_j * record.j + w_qed * record.qed
 
-    result = run(_without_discriminator(config), ref, objective)
-    archive_scatter = [(e.record.logp_raw, e.record.qed) for e in result.archive_sorted()]
-    return LogpQedResult(result, archive_scatter)
+    return run(_without_discriminator(config), ref, objective)
 
 
 # ---------------------------------------------------------------------------

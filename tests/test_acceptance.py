@@ -58,6 +58,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
+@pytest.mark.fast
 class TestCriterion01DecoderTotality:
     def test_totality_fuzz(self):
         rng = random.Random(20260808)
@@ -72,6 +73,7 @@ class TestCriterion01DecoderTotality:
                f"failures={failures}, {elapsed:.1f}s over 1e5 strings")
 
 
+@pytest.mark.fast
 class TestCriterion02RoundTrip:
     def test_encode_decode_and_reparse(self):
         rng = random.Random(5)
@@ -96,6 +98,7 @@ class TestCriterion02RoundTrip:
                f"bad={bad} of 1e4; {small_checked} brute-force isomorphism checks")
 
 
+@pytest.mark.fast
 class TestCriterion03GradientCheck:
     def test_analytic_vs_central_differences(self):
         rng = random.Random(17)
@@ -127,6 +130,7 @@ class TestCriterion03GradientCheck:
         report("3 gradient-check", worst < 1e-4, f"worst relative error {worst:.2e}")
 
 
+@pytest.mark.fast
 class TestCriterion04FitnessExactness:
     def test_eq1_eq3(self):
         ok = (fitness(2.0, 0.5, 10.0) == 7.0
@@ -137,6 +141,7 @@ class TestCriterion04FitnessExactness:
                "linear fitness exact; full penalty applies at sim <= delta")
 
 
+@pytest.mark.fast
 class TestCriterion05MutationMix:
     def test_kind_frequencies(self):
         rng = random.Random(31)
@@ -278,6 +283,7 @@ class TestCriterion11BetaSweep:
                f"beta=50 late mean D {late_d:.3f} in [0.35, 0.65]={band}")
 
 
+@pytest.mark.fast
 class TestCriterion12AnalysisOracles:
     def test_kmeans_pca_inertia(self):
         rng = np.random.RandomState(0)
@@ -300,6 +306,7 @@ class TestCriterion12AnalysisOracles:
                f"pca matches eigh={pca_ok}")
 
 
+@pytest.mark.fast
 class TestCriterion13Determinism:
     def test_hash_stable_across_threads(self):
         base = {
@@ -319,6 +326,7 @@ class TestCriterion13Determinism:
         report("13 determinism", ok, f"hashes {hashes[0][:12]}.. equal={ok}")
 
 
+@pytest.mark.fast
 class TestCriterion14DesignRuleOrdering:
     def test_sulfur_chain_wins_at_length_cap(self, bundle):
         cap = 81

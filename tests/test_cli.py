@@ -115,6 +115,8 @@ class TestConfig:
         # an int too large for a float
         ({"beta": 10 ** 400}, "beta"),
         ({"task": "adaptive_dt", "adaptive": {"high": 10 ** 400}}, "adaptive.high"),
+        # equal levels: the schedule never switches
+        ({"task": "adaptive_dt", "adaptive": {"low": 5.0, "high": 5.0}}, "adaptive.low"),
     ])
     def test_nonsense_value_rejected(self, doc, key):
         with pytest.raises(ConfigError, match=f"^{key} must"):
@@ -158,6 +160,10 @@ class TestConfig:
          "property_target": {"targets": [1.0, 2.0, 3.0], "n_targets": 5}},
         {"task": "constrained_similarity",
          "constrained": {"reference_smiles": "CCO", "n_molecules": 5}},
+        # uniform-survivors parents are drawn from every survivor
+        {"task": "logp_qed", "top_fraction": 0.05},
+        # without a discriminator D is 0, so beta weighs nothing
+        {"task": "unconstrained", "beta": 10.0, "use_discriminator": False},
     ])
     def test_key_the_task_does_not_read_rejected(self, doc):
         with pytest.raises(ConfigError, match="does not read"):
@@ -591,6 +597,16 @@ class TestPinnedHashes:
         ({"task": "random_baseline", "reference": {"synthetic": 150}, "seed": 3,
           "random_baseline": {"n_samples": 200}},
          "4c9c14b32e2cce0a84de6f25948406875d9838f001422bd245d2ae21af6ed524"),
+        # the ranking paths: top-fraction parents, no elite, and a larger
+        # elite with top-fraction parents
+        ({**_SMALL, "task": "unconstrained", "beta": 5.0,
+          "parent_selection": "top-fraction", "top_fraction": 0.3},
+         "dde91d0a751509708d0ade986f246050dd1739fd389aea6eee19da67c248e4c5"),
+        ({**_SMALL, "task": "unconstrained", "beta": 5.0, "elite_count": 0},
+         "db06fdffc6f60819c3178c7362f5402a8078327374e72d50f7d9916bc071f2f6"),
+        ({**_SMALL, "task": "logp_qed", "elite_count": 5,
+          "parent_selection": "top-fraction", "top_fraction": 0.5},
+         "ba59bfc3acc5acd199336e16bb5bca83f690e2c182688689e2d4852cf6be2856"),
     ]
 
     @pytest.mark.parametrize("doc, expected", CASES)

@@ -53,33 +53,42 @@ class TestFeatures:
 
 class TestKillProbabilities:
     def test_median_rank_is_half(self):
-        probs = kill_probabilities(list(range(11)), [0] * 11)
+        probs = kill_probabilities(list(range(11)), [0] * 11, 0)
         # fitness 5 is the median: normalized rank 0.5
         assert probs[5] == pytest.approx(0.5)
 
     def test_best_of_501(self):
         fits = list(range(501))
-        probs = kill_probabilities(fits, [0] * 501)
+        probs = kill_probabilities(fits, [0] * 501, 0)
         assert probs[500] == pytest.approx(1 / (1 + math.exp(5.0)), rel=1e-9)
 
     def test_monotone_in_rank(self):
         fits = [random.Random(0).random() for _ in range(100)]
-        probs = kill_probabilities(fits, [0] * 100)
+        probs = kill_probabilities(fits, [0] * 100, 0)
         ranked = sorted(range(100), key=lambda i: -fits[i])
         seq = [probs[i] for i in ranked]
         assert all(a <= b for a, b in zip(seq, seq[1:]))
 
     def test_single_member_never_killed(self):
-        assert kill_probabilities([3.0], [0]) == [0.0]
+        assert kill_probabilities([3.0], [0], 0) == [0.0]
 
     def test_tie_break_younger_first(self):
         # equal fitness: the younger individual gets the better (lower) rank
-        probs = kill_probabilities([1.0, 1.0], ages=[5, 0])
+        probs = kill_probabilities([1.0, 1.0], ages=[5, 0], elite_count=0)
         assert probs[1] < probs[0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            kill_probabilities([], [])
+            kill_probabilities([], [], 0)
+
+    def test_elite_is_never_killed(self):
+        fits = [0.5, 3.0, 1.0, 2.0, 0.0]
+        probs = kill_probabilities(fits, [0] * 5, 2)
+        # fitness 3.0 and 2.0 hold the two best ranks; the rest keep theirs
+        assert probs[1] == probs[3] == 0.0
+        rest = kill_probabilities(fits, [0] * 5, 0)
+        assert [probs[i] for i in (0, 2, 4)] == [rest[i] for i in (0, 2, 4)]
+        assert all(p > 0.0 for p in rest)
 
 
 class TestMutate:
@@ -141,10 +150,10 @@ class TestStep:
                             schedule=BetaSchedule(low=0.0, high=0.0), seed=1)
         ev = Evolver(cfg, ref, None)
         ev.initialize()
-        prev = max(i.fitness for i in ev.population)
+        prev = ev.logs[-1].max_f
         for _ in range(15):
             ev.step(0.0)
-            cur = max(i.fitness for i in ev.population)
+            cur = ev.logs[-1].max_f
             assert cur >= prev - 1e-12
             prev = cur
 
@@ -205,8 +214,8 @@ class TestRun:
                             schedule=BetaSchedule(low=0.0, high=0.0), seed=0)
         result = run(cfg, ref)
         assert len(result.archive) == 1
-        assert result.best.canonical == "C"
-        assert result.best_trace[-1] == pytest.approx(result.best.score)
+        assert result.archive_sorted()[0].canonical == "C"
+        assert result.best_trace[-1] == pytest.approx(result.archive_sorted()[0].score)
 
     def test_fixed_seed_reproducible(self, ref):
         cfg = EvolverConfig(population_size=40, generations=10,

@@ -215,12 +215,12 @@ class TestLogpQed:
         base = run(EvolverConfig(population_size=30, generations=5, seed=3,
                                  schedule=BetaSchedule(low=0.0, high=0.0),
                                  use_discriminator=False), ref)
-        assert [l.csv_row() for l in res.run.logs] == [l.csv_row() for l in base.logs]
+        assert [l.csv_row() for l in res.logs] == [l.csv_row() for l in base.logs]
 
     def test_tradeoff_witness(self, ref):
         res = run_logp_qed(ref, EvolverConfig(population_size=60, generations=25, seed=4),
                            w_j=1.0, w_qed=10.0)
-        scatter = res.archive_scatter
+        scatter = [(e.record.logp_raw, e.record.qed) for e in res.archive_sorted()]
         best_logp = max(scatter, key=lambda p: p[0])
         best_qed = max(scatter, key=lambda p: p[1])
         assert best_logp != best_qed
@@ -233,7 +233,8 @@ class TestLogpQed:
     def test_scatter_shapes(self, ref):
         res = run_logp_qed(ref, EvolverConfig(population_size=20, generations=3, seed=5),
                            w_j=1.0, w_qed=10.0)
-        assert all(len(p) == 2 for p in res.archive_scatter)
+        scatter = [(e.record.logp_raw, e.record.qed) for e in res.archive_sorted()]
+        assert all(len(p) == 2 for p in scatter)
 
     def test_edge_sampling_pilot(self):
         # pilot-derived seeded desk run: with strong drug-likeness weighting
@@ -249,7 +250,8 @@ class TestLogpQed:
         med = logps[len(logps) // 2]
         res = run_logp_qed(bundle, EvolverConfig(population_size=100,
                            generations=100, seed=0), w_j=1.0, w_qed=50.0)
-        hits = [(lp, q) for lp, q in res.archive_scatter if q > q99 and lp > med]
+        scatter = [(e.record.logp_raw, e.record.qed) for e in res.archive_sorted()]
+        hits = [(lp, q) for lp, q in scatter if q > q99 and lp > med]
         assert len(hits) >= 1
 
 
