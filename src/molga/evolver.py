@@ -132,6 +132,11 @@ class ArchiveEntry:
     record: PropertyRecord
 
 
+def _archive_order(entry: ArchiveEntry) -> tuple[float, str]:
+    """The archive's ranking: score descending, then canonical string."""
+    return -entry.score, entry.canonical
+
+
 @dataclass
 class GenerationLog:
     generation: int
@@ -230,11 +235,11 @@ class Evolver:
                 self.archive[ind.canonical] = ArchiveEntry(
                     ind.canonical, ind.genotype.text(), ind.score, ind.record)
         if len(self.archive) > self.config.archive_k:
-            keep = sorted(self.archive.values(), key=lambda e: (-e.score, e.canonical))
+            keep = sorted(self.archive.values(), key=_archive_order)
             self.archive = {e.canonical: e for e in keep[: self.config.archive_k]}
 
     def archive_sorted(self) -> list[ArchiveEntry]:
-        return sorted(self.archive.values(), key=lambda e: (-e.score, e.canonical))
+        return sorted(self.archive.values(), key=_archive_order)
 
     def best_ever(self) -> float:
         return max(e.score for e in self.archive.values())
@@ -281,20 +286,20 @@ class Evolver:
             pop[slot] = child
         for i in survivors:
             pop[i].age += 1
-
-        if self.model is not None:
-            ga_feats = stack_features(ind.graph for ind in pop)
-            ref_idx = [self.rng.randrange(len(self.reference)) for _ in range(n)]
-            train(self.model, ga_feats, self.reference.features[ref_idx], rng=self.rng)
         return self._end_generation(beta, children, len(killed))
 
     def _end_generation(self, beta: float, new: list[Individual],
                         n_replaced: int) -> GenerationLog:
-        """Score D, archive the new members, and record the generation's
-        trace, log and snapshot; max_f is the best fitness at `beta`."""
+        """Train D (after generation 0) and score with it, archive the new
+        members, and record the generation's trace, log and snapshot; max_f
+        is the best fitness at `beta`."""
         pop = self.population
         if self.model is not None:
-            d = predict(self.model, stack_features(ind.graph for ind in pop))
+            feats = stack_features(ind.graph for ind in pop)
+            if self.logs:  # generation 0 is scored by the untrained model
+                ref_idx = [self.rng.randrange(len(self.reference)) for _ in pop]
+                train(self.model, feats, self.reference.features[ref_idx], rng=self.rng)
+            d = predict(self.model, feats)
             for ind, val in zip(pop, d):
                 ind.d = float(val)
         self._update_archive(new)

@@ -63,11 +63,11 @@ class MolecularGraph:
     Atom indices are dense 0..n-1 in placement order. Bonds are undirected
     with order in {1, 2, 3}, each stored once: as a triple (a, b, order),
     a < b, in `bond_list` and as a (neighbor, order) pair in both atoms'
-    adjacency rows. The constructor accepts over-valent atoms and
-    disconnected fragments so that validate() can report them; self-loops,
-    repeated bonds and out-of-range indices are rejected outright. The bond
-    and adjacency tuples come from the process-wide `_shared` table, so
-    equal ones are one object.
+    adjacency rows. A graph is one connected molecule. The constructor
+    accepts over-valent atoms so that validate() can report them; a second
+    component, self-loops, repeated bonds and out-of-range indices are
+    rejected outright. The bond and adjacency tuples come from the
+    process-wide `_shared` table, so equal ones are one object.
     """
 
     __slots__ = ("elements", "bond_list", "_adj", "_cache")
@@ -117,6 +117,16 @@ class MolecularGraph:
         self._cache: dict = {}
         if len(_shared) > _SHARED_SIZE:
             _shared.clear()
+        if not _proven_connected(self):  # search from atom 0
+            seen = {0}
+            stack = [0]
+            while stack:
+                for v, _ in self._adj[stack.pop()]:
+                    if v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+            if len(seen) < n:
+                raise ValueError(f"disconnected atoms: {sorted(set(range(n)) - seen)}")
 
     @property
     def n_atoms(self) -> int:
@@ -164,18 +174,14 @@ class MolecularGraph:
 def validate(g: MolecularGraph) -> list[str]:
     """Return a list of violations; empty means the graph is valid.
 
-    Checks every atom's bond-order sum against its valence cap, and
-    connectivity. A repeated bond never gets this far: the constructor
-    rejects it.
+    Checks every atom's bond-order sum against its valence cap. A second
+    component or a repeated bond never gets this far: the constructor
+    rejects both.
     """
     problems: list[str] = []
     for i, (el, _, total) in enumerate(_atom_invariants(g)):
         if total > VALENCE[el]:
             problems.append(f"atom {i} ({el}) bond-order sum {total} exceeds cap {VALENCE[el]}")
-    components = _components(g)
-    if len(components) > 1:
-        missing = sorted(i for comp in components[1:] for i in comp)
-        problems.append(f"disconnected atoms: {missing}")
     return problems
 
 
@@ -194,37 +200,14 @@ def _proven_connected(g: MolecularGraph) -> bool:
     """True when every atom after the first has a lower-indexed neighbor,
     which proves the graph connected. Every decoded or parsed graph passes
     (each atom is placed bonded to an earlier one); a relabelled connected
-    graph may not."""
+    graph may not, and the constructor then searches from atom 0."""
     adj = g._adj
     return all(adj[i] and adj[i][0][0] < i for i in range(1, len(adj)))
 
 
-def _components(g: MolecularGraph) -> list[list[int]]:
-    """Sorted atom indices of each connected component, ordered by their
-    lowest atom."""
-    n = g.n_atoms
-    if _proven_connected(g):
-        return [list(range(n))]
-    seen = [False] * n
-    components = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp, stack = [root], [root]
-        while stack:
-            for v, _ in g._adj[stack.pop()]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        components.append(sorted(comp))
-    return components
-
-
 # ---------------------------------------------------------------------------
 # Minimum cycle basis (Horton-style): candidate cycles are the shortest cycle
-# through each edge plus the spanning-forest fundamental cycles, greedily
+# through each edge plus the spanning-tree fundamental cycles, greedily
 # selected for GF(2) independence in order of increasing length.
 # ---------------------------------------------------------------------------
 
@@ -278,60 +261,54 @@ def _shortest_cycle_mask(adj: list[list[tuple[int, int]]], src: int, dst: int,
 
 
 def _bridges(adj: Sequence[Sequence[tuple[int, int]]]) -> set[tuple[int, int]]:
-    """Edges not on any cycle (iterative low-link), over adjacency rows of
-    (neighbor, order) pairs with no repeated neighbor."""
+    """Edges not on any cycle (iterative low-link from atom 0), over the
+    adjacency rows of a connected graph, (neighbor, order) pairs with no
+    repeated neighbor."""
     n = len(adj)
     disc = [-1] * n
     low = [0] * n
     out: set[tuple[int, int]] = set()
-    counter = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = counter
-        counter += 1
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            u, parent, nbrs = stack[-1]
-            for v, _ in nbrs:
-                if v == parent:  # no parallel bonds, so this is the tree edge
-                    continue
-                if disc[v] == -1:
-                    disc[v] = low[v] = counter
-                    counter += 1
-                    stack.append((v, u, iter(adj[v])))
-                    break
-                if disc[v] < low[u]:
-                    low[u] = disc[v]
-            else:
-                stack.pop()
-                if parent != -1:
-                    if low[u] < low[parent]:
-                        low[parent] = low[u]
-                    if low[u] > disc[parent]:
-                        out.add((parent, u) if parent < u else (u, parent))
+    disc[0] = low[0] = 0
+    counter = 1
+    stack = [(0, -1, iter(adj[0]))]
+    while stack:
+        u, parent, nbrs = stack[-1]
+        for v, _ in nbrs:
+            if v == parent:  # no parallel bonds, so this is the tree edge
+                continue
+            if disc[v] == -1:
+                disc[v] = low[v] = counter
+                counter += 1
+                stack.append((v, u, iter(adj[v])))
+                break
+            if disc[v] < low[u]:
+                low[u] = disc[v]
+        else:
+            stack.pop()
+            if parent != -1:
+                if low[u] < low[parent]:
+                    low[parent] = low[u]
+                if low[u] > disc[parent]:
+                    out.add((parent, u) if parent < u else (u, parent))
     return out
 
 
 def _fundamental_cycles(g: MolecularGraph) -> list[list[int]]:
-    """The cycle each non-tree bond closes in a DFS spanning forest, as an
-    atom sequence in walk order."""
+    """The cycle each non-tree bond closes in a DFS spanning tree rooted at
+    atom 0, as an atom sequence in walk order."""
     n = g.n_atoms
-    parent = [-2] * n  # -2: not reached yet, -1: a root
+    parent = [-2] * n  # -2: not reached yet, -1: the root
     depth = [0] * n
     cycles: list[list[int]] = []
-    for root in range(n):
-        if parent[root] != -2:
-            continue
-        parent[root] = -1
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, _ in g._adj[u]:
-                if parent[v] == -2:
-                    parent[v] = u
-                    depth[v] = depth[u] + 1
-                    stack.append(v)
+    parent[0] = -1
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v, _ in g._adj[u]:
+            if parent[v] == -2:
+                parent[v] = u
+                depth[v] = depth[u] + 1
+                stack.append(v)
     for a, b, _ in g.bond_list:
         if parent[b] == a or parent[a] == b:
             continue  # a tree edge
@@ -354,11 +331,10 @@ def _fundamental_cycles(g: MolecularGraph) -> list[list[int]]:
 
 
 def _minimum_cycle_basis(g: MolecularGraph) -> tuple[tuple[int, ...], ...]:
-    # cycle rank m - n + c: zero for a forest, which needs no DFS
-    c = 1 if _proven_connected(g) else len(_components(g))
-    if len(g.bond_list) - g.n_atoms + c == 0:
+    # cycle rank m - n + 1: zero for a tree, which needs no DFS
+    if len(g.bond_list) - g.n_atoms + 1 == 0:
         return ()
-    # a spanning forest leaves out one bond per independent cycle
+    # a spanning tree leaves out one bond per independent cycle
     cycles = _fundamental_cycles(g)
     if len(cycles) <= 1:
         # no cycle, or the graph's one cycle is its only candidate
@@ -468,14 +444,10 @@ _Step = tuple[int, int, int, bool]
 
 
 def _canonical_string(g: MolecularGraph) -> str:
-    """The canonical text of a connected graph. A disconnected graph's is
-    its components' texts, sorted and joined by dots."""
+    """The smallest rendering over every tied traversal."""
     n = g.n_atoms
     if n == 1:
         return g.elements[0]
-    components = _components(g)
-    if len(components) > 1:
-        return ".".join(sorted(_subgraph(g, comp).canonical() for comp in components))
     ranks = _refined_ranks(g)
     # each atom's bonds in the order the DFS takes them (by neighbor rank,
     # then neighbor index), with the bond's bit in the `done` mask and the
@@ -498,13 +470,6 @@ def _canonical_string(g: MolecularGraph) -> str:
         if ranks[start] == lowest:
             _traverse(order, g.elements, start, (start, None), 0, 1 << start, [], renders)
     return min(renders)
-
-
-def _subgraph(g: MolecularGraph, atoms: list[int]) -> MolecularGraph:
-    """The graph induced on `atoms`, relabelled 0..k-1 in the order given."""
-    index = {a: k for k, a in enumerate(atoms)}
-    return MolecularGraph([g.elements[a] for a in atoms],
-                          [(index[a], index[b], o) for a, b, o in g.bond_list if a in index])
 
 
 def _traverse(order: list[list[tuple[int, int, int, int, int]]], elements: tuple[str, ...],
@@ -593,7 +558,7 @@ def _render(elements: tuple[str, ...], start: int, steps: list[_Step]) -> str:
 def canonical_length_bounds(g: MolecularGraph) -> tuple[int, int]:
     """(lo, hi) with lo <= len(g.canonical()) <= hi, without rendering.
 
-    The canonical DFS of a connected graph with n atoms, m bonds, b of them
+    The canonical DFS of a graph with n atoms, m bonds, b of them
     of order 2 or 3, and cycle rank r = m - n + 1 makes n - 1 tree steps and
     r ring-closure steps, and `_render` writes:
     - n element letters, one per atom;
@@ -611,15 +576,13 @@ def canonical_length_bounds(g: MolecularGraph) -> tuple[int, int]:
     So lo = n + b + 2r (no branches, one-character digits) and hi adds
     the maxima.
 
-    The bounds hold for a connected graph, which `_proven_connected`
-    proves cheaply for every decoded or parsed graph. A graph that fails
-    that test, or has more closures than `_render` has digits for, is
-    rendered, and its bounds are its length.
+    A graph with more closures than `_render` has digits for is rendered,
+    and its bounds are its length.
     """
     adj = g._adj
     n = len(adj)
     r = len(g.bond_list) - n + 1
-    if r > 99 or not _proven_connected(g):
+    if r > 99:
         k = len(g.canonical())
         return k, k
     b = sum(1 for _, _, o in g.bond_list if o > 1)
@@ -795,7 +758,8 @@ def _kekulize(elements: list[str], aromatic: list[bool],
     if not ar_edges and not any(aromatic):
         return [(a, b, o) for a, b, o in bonds if o is not None]
 
-    # every aromatic atom must sit on a ring, i.e. on a bond that is no bridge
+    # every aromatic atom must sit on a ring, i.e. on a bond that is no bridge;
+    # parse order bonds each atom to an earlier one, so the bonds are connected
     adj: list[list[tuple[int, int]]] = [[] for _ in elements]
     for a, b, _ in bonds:
         adj[a].append((b, 1))

@@ -6,7 +6,7 @@ render each traversal recursively, refine ranks until the class count
 stops growing, and canonicalize every candidate cycle found by a BFS over
 the whole graph. The kernel in `molga.graph` must give byte-identical
 strings and identical bases, including the ring-basis pivot order that
-ROADMAP item 1 will change.
+ROADMAP item 4 will change.
 """
 
 from __future__ import annotations

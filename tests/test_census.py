@@ -53,8 +53,6 @@ ALLOWED = {
                                      "a run will call it",
     "discriminator._checked_array": "load_checkpoint's shape check",
     "discriminator._flat_from_layers": "load_checkpoint's parameter unpacking",
-    "graph._subgraph": "renders each component of a disconnected graph, which a library "
-                       "caller can build and no command can",
     "graph.MolecularGraph.__repr__": "what a graph shows in a traceback or a debugger",
     "analysis.mean_pairwise_tanimoto": "acceptance criterion 7's diversity statistic",
 }

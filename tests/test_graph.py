@@ -1,10 +1,12 @@
 import random
+import re
 
 import pytest
 
 from molga import cli, codec, graph
-from molga.codec import PHENYL_SYMBOLS, Genotype, decode, random_genotype
+from molga.codec import PHENYL_SYMBOLS, Genotype, decode, encode, random_genotype
 from molga.discriminator import featurize
+from molga.evolver import mutate
 from molga.graph import (
     FP_BITS,
     FP_RADIUS,
@@ -21,6 +23,7 @@ from molga.graph import (
     _fundamental_cycles,
     _hash_ints,
     _minimum_cycle_basis,
+    _proven_connected,
     canonical,
     canonical_length_bounds,
     canonical_length_in,
@@ -54,9 +57,14 @@ class TestValidate:
         assert any("atom 0" in p for p in problems)
 
     def test_disconnected(self):
-        mol = MolecularGraph(["C", "C"], [])
-        problems = validate(mol)
-        assert any("disconnected" in p for p in problems), problems
+        # rejected at construction; the message names the atoms atom 0 cannot reach
+        for elements, bonds, unreached in (
+                (["C", "C"], [], [1]),
+                # a ring beside a chain, and a chain beside a ring
+                (["C"] * 6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (1, 3, 1), (4, 5, 1)], [4, 5]),
+                (["C"] * 5, [(0, 1, 1), (2, 3, 1), (3, 4, 1), (2, 4, 1)], [2, 3, 4])):
+            with pytest.raises(ValueError, match=re.escape(f"disconnected atoms: {unreached}")):
+                MolecularGraph(elements, bonds)
 
     def test_repeated_bond_rejected_at_construction(self):
         for bonds in ([(0, 1, 1), (1, 0, 1)], [(0, 1, 1), (0, 1, 2)]):
@@ -66,6 +74,21 @@ class TestValidate:
     def test_self_loop_rejected_at_construction(self):
         with pytest.raises(ValueError):
             MolecularGraph(["C"], [(0, 0, 1)])
+
+
+class TestProvenConnected:
+    """Every graph a command builds passes the constructor's fast path."""
+
+    def test_built_graphs_pass_the_fast_path(self, bundled_reference):
+        rng = random.Random(24)
+        graphs = list(bundled_reference.graphs)
+        graphs += [decode(random_genotype(rng, 100)) for _ in range(3000)]
+        genotype = random_genotype(rng, 30)
+        for _ in range(300):  # a mutation chain
+            genotype = mutate(genotype, rng, 81, 100)
+            graphs.append(decode(genotype))
+        graphs += [decode(encode(mol)) for mol in bundled_reference.graphs[:50]]
+        assert all(_proven_connected(mol) for mol in graphs)
 
 
 class TestRings:
@@ -104,10 +127,8 @@ class TestRings:
                 trees += 1
                 assert _minimum_cycle_basis(mol) == ()
         assert trees > 200
-        # two chains; a chain numbered so that connectivity needs a search
-        for mol in (MolecularGraph(["C"] * 4, [(0, 1, 1), (2, 3, 1)]),
-                    MolecularGraph(["C"] * 3, [(0, 2, 1), (1, 2, 1)])):
-            assert _minimum_cycle_basis(mol) == ()
+        # a chain numbered so that connectivity needs a search
+        assert _minimum_cycle_basis(MolecularGraph(["C"] * 3, [(0, 2, 1), (1, 2, 1)])) == ()
 
     def test_spiro_shares_one_atom(self):
         # two triangles sharing one atom
@@ -127,10 +148,6 @@ class TestRings:
             for labelled in (mol, permuted(mol, rng)):
                 assert _minimum_cycle_basis(labelled) == _basis_by_elimination(
                     labelled, _fundamental_cycles(labelled))
-        # disconnected: a ring beside a chain
-        mol = MolecularGraph(["C"] * 6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (1, 3, 1), (4, 5, 1)])
-        assert (_minimum_cycle_basis(mol) == _basis_by_elimination(mol, _fundamental_cycles(mol))
-                == ((1, 2, 3),))
 
 
 def decode_text(text):
@@ -154,18 +171,6 @@ class TestCanonical:
             base = canonical(mol)
             for _ in range(5):
                 assert canonical(permuted(mol, rng)) == base
-
-    @pytest.mark.parametrize("elements, bonds, expected", [
-        (["C", "C", "C", "O"], [(0, 1, 1), (2, 3, 2)], "C=O.CC"),  # ethane + formaldehyde
-        (["C", "C", "C", "O"], [(0, 1, 1), (2, 3, 1)], "CC.CO"),  # ethane + methanol
-        (["C", "C"], [], "C.C"),
-    ])
-    def test_disconnected_writes_every_component(self, elements, bonds, expected):
-        mol = MolecularGraph(elements, bonds)
-        assert canonical(mol) == expected
-        rng = random.Random(len(expected))
-        for _ in range(10):
-            assert canonical(permuted(mol, rng)) == expected
 
     def test_reparse_isomorphic(self):
         rng = random.Random(3)
@@ -263,7 +268,7 @@ class TestCanonicalPinned:
          "C1C=C2C=CC=C2C=1", ((0, 1, 2, 6, 7), (2, 3, 4, 5, 6))),
     ]
 
-    # The two molecules of the open ring-perception bug (ROADMAP item 1), as
+    # The two molecules of the open ring-perception bug (ROADMAP item 4), as
     # parsed and under three fixed relabellings (atom i becomes perm[i]).
     # Their strings and bases depend on the labelling today: these pins
     # record that output and move with the fix.
@@ -358,16 +363,14 @@ class TestCanonicalLengthBounds:
         canonical_length_bounds(fresh)
         assert "canonical" not in fresh._cache
 
-    @pytest.mark.parametrize("mol", [
-        # two components: the canonical walk writes one of them
-        MolecularGraph(["C", "C", "C", "O"], [(0, 1, 1), (2, 3, 2)]),
-        MolecularGraph(["C", "N", "O", "C", "C"], [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 3)]),
-        # connected, but atom 1's only neighbor comes after it
-        MolecularGraph(["C", "C", "O"], [(0, 2, 1), (1, 2, 1)]),
-    ])
-    def test_unproven_connectivity_is_rendered(self, mol):
-        k = len(mol.canonical())
-        assert canonical_length_bounds(mol) == (k, k)
+    def test_unproven_connectivity_is_not_rendered(self):
+        # connected, but atom 1's only neighbor comes after it: the
+        # constructor's search accepts it, and the bounds need no rendering
+        mol = MolecularGraph(["C", "C", "O"], [(0, 2, 1), (1, 2, 1)])
+        assert not _proven_connected(mol)
+        assert canonical_length_bounds(mol) == (3, 5)
+        assert "canonical" not in mol._cache
+        assert_bounded(mol)
 
 
 class TestCanonicalLengthIn:
@@ -383,13 +386,6 @@ class TestCanonicalLengthIn:
             assert inside == (lo <= len(fresh.canonical()) <= hi)
             outcomes.add("rendered" if rendered else "in" if inside else "out")
         assert outcomes == {"in", "out", "rendered"}
-
-    def test_disconnected_graph_is_rendered(self):
-        # ethane and formaldehyde: "C=O.CC"
-        for (lo, hi), inside in (((1, 6), True), ((6, 9), True), ((1, 5), False), ((7, 9), False)):
-            mol = MolecularGraph(["C", "C", "C", "O"], [(0, 1, 1), (2, 3, 2)])
-            assert canonical_length_in(mol, lo, hi) is inside
-            assert mol._cache["canonical"] == "C=O.CC"
 
 
 class TestParseSmiles:
