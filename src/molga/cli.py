@@ -485,9 +485,9 @@ def _cmd_analyze(args) -> int:
     ref, _ = load_config_reference(config)
     snapshots: dict[int, list] = {}
     for name in sorted(os.listdir(snap_dir)):
-        if not name.startswith("gen_"):
-            continue
-        gen = int(name.removeprefix("gen_").removesuffix(".txt"))
+        digits = name.removeprefix("gen_").removesuffix(".txt")
+        if name != f"gen_{digits}.txt" or not digits.isdecimal():
+            continue  # not a snapshot: an editor's backup, say
         rows = []
         with open(os.path.join(snap_dir, name)) as fh:
             for line in fh:
@@ -495,7 +495,7 @@ def _cmd_analyze(args) -> int:
                 graph = decode(genotype)
                 rec = penalized_logp(graph, ref.prop_stats)
                 rows.append((graph.canonical(), rec.j, graph.fingerprint()))
-        snapshots[gen] = rows
+        snapshots[int(digits)] = rows
     rows = analysis.snapshot_report(snapshots, config["seed"])
     out_dir = os.path.join(args.run_dir, "analysis")
     os.makedirs(out_dir, exist_ok=True)

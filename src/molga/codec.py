@@ -76,17 +76,14 @@ PHENYL_SYMBOLS = bytes((
 @dataclass(frozen=True)
 class Genotype:
     """Non-empty symbol string, one byte per symbol index; the GA's unit of
-    mutation. Any other sequence of ints is converted to bytes."""
+    mutation."""
 
     symbols: bytes
 
     def __post_init__(self):
         symbols = self.symbols
         if type(symbols) is not bytes:
-            if isinstance(symbols, int):
-                raise TypeError("genotype symbols must be a sequence of ints")
-            symbols = bytes(symbols)  # ValueError outside 0..255
-            object.__setattr__(self, "symbols", symbols)
+            raise TypeError(f"genotype symbols must be bytes, not {type(symbols).__name__}")
         if not symbols:
             raise ValueError("genotype must contain at least one symbol")
         if max(symbols) >= N_SYMBOLS:
@@ -539,8 +536,6 @@ def random_genotype(rng, max_len: int) -> Genotype:
     lowest 32 bits. A batch asks for no more outputs than symbols still
     missing, so it never draws past the output that completes the genotype.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
     length = need = rng.randint(1, max_len)
     symbols = b""
     while need:

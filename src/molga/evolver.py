@@ -55,8 +55,6 @@ def kill_probabilities(fitnesses: Sequence[float], ages: Sequence[int],
     ranks get probability 0, and a single-member population is never killed.
     """
     n = len(fitnesses)
-    if n == 0:
-        raise ValueError("empty fitness list")
     if n == 1:
         return [0.0]
     probs = [0.0] * n
@@ -170,19 +168,7 @@ class EvolverConfig:
     archive_k: int = 50
     seed: int = 0
     snapshot_every: int = 0  # 0 disables population snapshots
-    initial_genotypes: list[Genotype] | None = None
-
-    def validate(self) -> None:
-        if self.population_size < 1:
-            raise ValueError("population_size must be >= 1")
-        if self.generations < 0:
-            raise ValueError("generations must be >= 0")
-        if not (0 <= self.elite_count <= self.population_size):
-            raise ValueError("elite_count out of range")
-        if self.archive_k < 1:
-            raise ValueError("archive_k must be >= 1")
-        if self.parent_selection not in ("uniform-survivors", "top-fraction"):
-            raise ValueError(f"unknown parent_selection {self.parent_selection!r}")
+    initial_genotypes: list[Genotype] | None = None  # population_size of them
 
 
 class Evolver:
@@ -192,7 +178,6 @@ class Evolver:
 
     def __init__(self, config: EvolverConfig, reference: ReferenceSet,
                  objective: Objective | None):
-        config.validate()
         self.config = config
         self.reference = reference
         self.objective = objective
@@ -249,13 +234,11 @@ class Evolver:
     def initialize(self) -> GenerationLog:
         cfg = self.config
         if cfg.initial_genotypes is not None:
-            if len(cfg.initial_genotypes) != cfg.population_size:
-                raise ValueError("initial_genotypes length must equal population_size")
             genotypes = list(cfg.initial_genotypes)
         else:
             genotypes = [Genotype(bytes((Symbol.C,)))] * cfg.population_size
         self.population = [self._evaluate(g) for g in genotypes]
-        return self._end_generation(next_beta(cfg.schedule, 0, []), self.population, 0)
+        return self._end_generation(next_beta(cfg.schedule, []), self.population, 0)
 
     def step(self, beta: float) -> GenerationLog:
         """One generation: select, refill, evaluate, train, archive."""
@@ -335,5 +318,5 @@ def run(config: EvolverConfig, reference: ReferenceSet,
     ev.initialize()
     while ev.generation < config.generations and not (
             stop_condition is not None and stop_condition(ev)):
-        ev.step(next_beta(config.schedule, ev.generation + 1, ev.best_trace))
+        ev.step(next_beta(config.schedule, ev.best_trace))
     return ev

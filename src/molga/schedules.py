@@ -22,21 +22,16 @@ class BetaSchedule:
     window: int = 20
     epsilon: float = 1e-3
 
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
 
-
-def next_beta(schedule: BetaSchedule, gen: int, best_j_history: Sequence[float]) -> float:
+def next_beta(schedule: BetaSchedule, best_j_history: Sequence[float]) -> float:
     """Beta for the upcoming generation.
 
-    `best_j_history[i]` is the best-ever objective after generation i; its
-    length must equal `gen`. The schedule holds no state: the weight is
-    found by replaying the whole history, so one schedule can serve any
-    number of runs. A constant schedule replays nothing.
+    `best_j_history[i]` is the best-ever objective after generation i, so
+    the upcoming generation is generation `len(best_j_history)`. The
+    schedule holds no state: the weight is found by replaying the whole
+    history, so one schedule can serve any number of runs. A constant
+    schedule replays nothing.
     """
-    if len(best_j_history) != gen:
-        raise ValueError(f"history length {len(best_j_history)} != generation index {gen}")
     if schedule.low == schedule.high:
         return schedule.low
     beta = schedule.low

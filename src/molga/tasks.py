@@ -132,8 +132,6 @@ def lowest_scoring_references(ref: ReferenceSet, n: int) -> list[int]:
     """Indices of the n reference molecules with the lowest j, ties broken
     by canonical string. Only molecules at or below the n-th lowest j can
     be picked, so only they are canonicalized."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     js = [r.j for r in ref.records]
     cut = sorted(js)[min(n, len(js)) - 1]
     candidates = [i for i, j in enumerate(js) if j <= cut]
@@ -278,8 +276,6 @@ def run_property_target_batch(ref: ReferenceSet, config: EvolverConfig, *,
 def run_logp_qed(ref: ReferenceSet, config: EvolverConfig, *, w_j: float,
                  w_qed: float) -> Evolver:
     """Weighted combination of the penalized-logP objective and QED."""
-    if w_j < 0 or w_qed < 0:
-        raise ValueError("weights must be non-negative")
 
     def objective(graph: MolecularGraph, record: PropertyRecord) -> float:
         return w_j * record.j + w_qed * record.qed
@@ -374,8 +370,6 @@ def run_random_baseline(ref: ReferenceSet, n: int, seed: int, *, max_canonical_l
 
     A sample whose canonical length bound fits the cap is scored without
     rendering its canonical string; only the best sample's is rendered."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     rng = random.Random(seed)
     best_j = -float("inf")
     best: tuple[MolecularGraph, Genotype] | None = None
@@ -422,8 +416,6 @@ def run_beta_sweep(ref: ReferenceSet, config: EvolverConfig, betas: list[float],
                    seeds_per_beta: int) -> BetaSweepResult:
     """Unconstrained runs (discriminator always attached) across betas,
     averaged over seeds."""
-    if not betas:
-        raise ValueError("beta list must be non-empty")
     rows = []
     for beta in betas:
         j_traces, d_traces = [], []

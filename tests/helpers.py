@@ -123,4 +123,4 @@ def brute_force_diameter(g: MolecularGraph) -> int:
 def random_genotype_per_symbol(rng, max_len: int) -> Genotype:
     """`codec.random_genotype` as one `randrange(16)` call per symbol."""
     length = rng.randint(1, max_len)
-    return Genotype(tuple(Symbol(rng.randrange(N_SYMBOLS)) for _ in range(length)))
+    return Genotype(bytes(Symbol(rng.randrange(N_SYMBOLS)) for _ in range(length)))

@@ -20,6 +20,83 @@ from molga.props import EmptyReference
 from molga.reference import load_reference, synthetic_reference
 
 
+# Each case is a config document and the key its rejection names.
+NONSENSE_CASES = [
+    ({"top_fraction": -3}, "top_fraction"),
+    ({"top_fraction": "x"}, "top_fraction"),
+    ({"top_fraction": 0}, "top_fraction"),
+    ({"beta": "abc"}, "beta"),
+    ({"beta": True}, "beta"),
+    ({"use_discriminator": "x"}, "use_discriminator"),
+    ({"task": "beta_sweep", "beta_sweep": {"betas": "ab"}}, "beta_sweep.betas"),
+    ({"task": "beta_sweep", "beta_sweep": {"betas": [0.0, "x"]}}, "beta_sweep.betas"),
+    ({"task": "logp_qed", "logp_qed": {"w_j": "x"}}, "logp_qed.w_j"),
+    ({"task": "logp_qed", "logp_qed": {"w_qed": None}}, "logp_qed.w_qed"),
+    ({"task": "adaptive_dt", "adaptive": {"window": -1}}, "adaptive.window"),
+    ({"task": "adaptive_dt", "adaptive": {"window": 2.5}}, "adaptive.window"),
+    ({"task": "adaptive_dt", "adaptive": {"low": "x"}}, "adaptive.low"),
+    ({"task": "adaptive_dt", "adaptive": {"high": [1]}}, "adaptive.high"),
+    ({"task": "adaptive_dt", "adaptive": {"epsilon": "x"}}, "adaptive.epsilon"),
+    ({"population_size": True}, "population_size"),
+    ({"generations": False}, "generations"),
+    ({"seed": True}, "seed"),
+    ({"task": "constrained_similarity", "constrained": {"delta": "x"}}, "constrained.delta"),
+    ({"task": "property_target", "property_target": {"targets": [3.0, 1.0]}},
+     "property_target.targets"),
+    ({"max_canonical_len": 0}, "max_canonical_len"),
+    ({"max_genotype_len": 0}, "max_genotype_len"),
+    ({"task": "random_baseline", "max_canonical_len": 0}, "max_canonical_len"),
+    ({"task": "random_baseline", "max_genotype_len": 0}, "max_genotype_len"),
+    ({"task": "adaptive_dt", "adaptive": {"low": 5.0, "high": 1.0}}, "adaptive.low"),
+    ({"population_size": 5, "elite_count": 9}, "elite_count"),
+    ({"reference": {"synthetic": "abc"}}, "reference"),
+    ({"reference": {"synthetic": True}}, "reference"),
+    ({"reference": {"synthetic": 120.0}}, "reference"),
+    ({"reference": {"synthetic": 0}}, "reference"),
+    ({"reference": {"synthetic": 120, "colour": "blue"}}, "reference"),
+    ({"reference": {}}, "reference"),
+    ({"reference": 120}, "reference"),
+    ({"reference": ["ref.smi"]}, "reference"),
+    ({"output_dir": 5}, "output_dir"),
+    ({"initial_population": ["x"]}, "initial_population"),
+    ({"initial_population": True}, "initial_population"),
+    ({"task": "constrained_similarity", "constrained": {"reference_smiles": 5}},
+     "constrained.reference_smiles"),
+    ({"task": "logp_qed", "logp_qed": {"w_j": -1}}, "logp_qed.w_j"),
+    ({"task": "logp_qed", "logp_qed": {"w_qed": -0.5}}, "logp_qed.w_qed"),
+    ({"beta": float("nan")}, "beta"),
+    ({"task": "logp_qed", "logp_qed": {"w_j": float("nan")}}, "logp_qed.w_j"),
+    ({"task": "beta_sweep", "beta_sweep": {"betas": [float("nan")]}}, "beta_sweep.betas"),
+    ({"task": "property_target", "property_target": {"targets": [float("nan"), 1, 2]}},
+     "property_target.targets"),
+    ({"task": "adaptive_dt", "adaptive": {"epsilon": float("nan")}}, "adaptive.epsilon"),
+    ({"task": "adaptive_dt", "adaptive": {"high": float("inf")}}, "adaptive.high"),
+    # an int too large for a float
+    ({"beta": 10 ** 400}, "beta"),
+    ({"task": "adaptive_dt", "adaptive": {"high": 10 ** 400}}, "adaptive.high"),
+    # equal levels: the schedule never switches
+    ({"task": "adaptive_dt", "adaptive": {"low": 5.0, "high": 5.0}}, "adaptive.low"),
+    # the rules that no library function checks again
+    ({"population_size": 0}, "population_size"),
+    ({"generations": -1}, "generations"),
+    ({"parent_selection": "nope"}, "parent_selection"),
+    ({"task": "adaptive_dt", "adaptive": {"window": 0}}, "adaptive.window"),
+    ({"task": "beta_sweep", "beta_sweep": {"betas": []}}, "beta_sweep.betas"),
+    ({"task": "nope"}, "task"),
+    ({"archive_k": 0}, "archive_k"),
+    ({"snapshot_every": -1}, "snapshot_every"),
+    ({"threads": 0}, "threads"),
+]
+
+# The batch counts, each rejected at every value that is not an integer >= 1.
+COUNT_KEYS = [
+    ("constrained", "n_molecules", "constrained_similarity"),
+    ("property_target", "n_targets", "property_target"),
+    ("random_baseline", "n_samples", "random_baseline"),
+    ("beta_sweep", "seeds_per_beta", "beta_sweep"),
+]
+
+
 class TestConfig:
     def test_defaults_materialized(self):
         cfg = parse_config({})
@@ -62,77 +139,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config({"seed": "abc"})
 
-    @pytest.mark.parametrize("doc,key", [
-        ({"top_fraction": -3}, "top_fraction"),
-        ({"top_fraction": "x"}, "top_fraction"),
-        ({"top_fraction": 0}, "top_fraction"),
-        ({"beta": "abc"}, "beta"),
-        ({"beta": True}, "beta"),
-        ({"use_discriminator": "x"}, "use_discriminator"),
-        ({"task": "beta_sweep", "beta_sweep": {"betas": "ab"}}, "beta_sweep.betas"),
-        ({"task": "beta_sweep", "beta_sweep": {"betas": [0.0, "x"]}}, "beta_sweep.betas"),
-        ({"task": "logp_qed", "logp_qed": {"w_j": "x"}}, "logp_qed.w_j"),
-        ({"task": "logp_qed", "logp_qed": {"w_qed": None}}, "logp_qed.w_qed"),
-        ({"task": "adaptive_dt", "adaptive": {"window": -1}}, "adaptive.window"),
-        ({"task": "adaptive_dt", "adaptive": {"window": 2.5}}, "adaptive.window"),
-        ({"task": "adaptive_dt", "adaptive": {"low": "x"}}, "adaptive.low"),
-        ({"task": "adaptive_dt", "adaptive": {"high": [1]}}, "adaptive.high"),
-        ({"task": "adaptive_dt", "adaptive": {"epsilon": "x"}}, "adaptive.epsilon"),
-        ({"population_size": True}, "population_size"),
-        ({"generations": False}, "generations"),
-        ({"seed": True}, "seed"),
-        ({"task": "constrained_similarity", "constrained": {"delta": "x"}}, "constrained.delta"),
-        ({"task": "property_target", "property_target": {"targets": [3.0, 1.0]}},
-         "property_target.targets"),
-        ({"max_canonical_len": 0}, "max_canonical_len"),
-        ({"max_genotype_len": 0}, "max_genotype_len"),
-        ({"task": "random_baseline", "max_canonical_len": 0}, "max_canonical_len"),
-        ({"task": "random_baseline", "max_genotype_len": 0}, "max_genotype_len"),
-        ({"task": "adaptive_dt", "adaptive": {"low": 5.0, "high": 1.0}}, "adaptive.low"),
-        ({"population_size": 5, "elite_count": 9}, "elite_count"),
-        ({"reference": {"synthetic": "abc"}}, "reference"),
-        ({"reference": {"synthetic": True}}, "reference"),
-        ({"reference": {"synthetic": 120.0}}, "reference"),
-        ({"reference": {"synthetic": 0}}, "reference"),
-        ({"reference": {"synthetic": 120, "colour": "blue"}}, "reference"),
-        ({"reference": {}}, "reference"),
-        ({"reference": 120}, "reference"),
-        ({"reference": ["ref.smi"]}, "reference"),
-        ({"output_dir": 5}, "output_dir"),
-        ({"initial_population": ["x"]}, "initial_population"),
-        ({"initial_population": True}, "initial_population"),
-        ({"task": "constrained_similarity", "constrained": {"reference_smiles": 5}},
-         "constrained.reference_smiles"),
-        ({"task": "logp_qed", "logp_qed": {"w_j": -1}}, "logp_qed.w_j"),
-        ({"task": "logp_qed", "logp_qed": {"w_qed": -0.5}}, "logp_qed.w_qed"),
-        ({"beta": float("nan")}, "beta"),
-        ({"task": "logp_qed", "logp_qed": {"w_j": float("nan")}}, "logp_qed.w_j"),
-        ({"task": "beta_sweep", "beta_sweep": {"betas": [float("nan")]}}, "beta_sweep.betas"),
-        ({"task": "property_target", "property_target": {"targets": [float("nan"), 1, 2]}},
-         "property_target.targets"),
-        ({"task": "adaptive_dt", "adaptive": {"epsilon": float("nan")}}, "adaptive.epsilon"),
-        ({"task": "adaptive_dt", "adaptive": {"high": float("inf")}}, "adaptive.high"),
-        # an int too large for a float
-        ({"beta": 10 ** 400}, "beta"),
-        ({"task": "adaptive_dt", "adaptive": {"high": 10 ** 400}}, "adaptive.high"),
-        # equal levels: the schedule never switches
-        ({"task": "adaptive_dt", "adaptive": {"low": 5.0, "high": 5.0}}, "adaptive.low"),
-    ])
+    @pytest.mark.parametrize("doc,key", NONSENSE_CASES)
     def test_nonsense_value_rejected(self, doc, key):
         with pytest.raises(ConfigError, match=f"^{key} must"):
             parse_config(doc)
 
-    @pytest.mark.parametrize("section,key,task", [
-        ("constrained", "n_molecules", "constrained_similarity"),
-        ("property_target", "n_targets", "property_target"),
-        ("random_baseline", "n_samples", "random_baseline"),
-        ("beta_sweep", "seeds_per_beta", "beta_sweep"),
-    ])
+    @pytest.mark.parametrize("section,key,task", COUNT_KEYS)
     @pytest.mark.parametrize("value", [-1, 0, "3", 2.0, True, None])
     def test_count_must_be_positive_integer(self, section, key, task, value):
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             parse_config({"task": task, section: {key: value}})
         assert parse_config({"task": task, section: {key: 1}})[section][key] == 1
+
+    def test_every_rule_has_a_rejection_case(self):
+        # parse_config is the only check of a rule, so each key of the
+        # table needs a case of a value it rejects
+        keys = set()
+        for key, entry in cli._KEYS.items():
+            keys |= {f"{key}.{sub}" for sub in entry} if isinstance(entry, dict) else {key}
+        covered = {key for _, key in NONSENSE_CASES}
+        covered |= {f"{section}.{key}" for section, key, _ in COUNT_KEYS}
+        assert sorted(keys - covered) == []
 
     def test_empty_archive_rejected(self):
         # an empty archive has no best entry, so every GA task would crash
@@ -511,6 +538,17 @@ class TestRunDeterminism:
         rows = (out / "analysis" / "snapshot_clusters.csv").read_text().splitlines()[1:]
         generations = [int(r.split(",")[0]) for r in rows]
         assert generations == [10000] * 25 + [100000] * 25
+
+    def test_analyze_skips_files_that_are_not_snapshots(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "backup"
+        assert main(["run", tiny_config, "--out", str(out)]) == 0
+        snap_dir = out / "snapshots"
+        for name in ("gen_00001.txt~", "gen_00002.txt.bak", "gen_.txt", "gen_notes.txt"):
+            (snap_dir / name).write_text("not a genotype\n")
+        code, _, err = _run_cli(["analyze", str(out)], capsys)
+        assert code == 0, err
+        rows = (out / "analysis" / "snapshot_clusters.csv").read_text().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == [0] * 25 + [5] * 25
 
     def test_analyze_without_snapshots(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

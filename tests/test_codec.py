@@ -144,21 +144,24 @@ class TestDecodeTotality:
 
     def test_empty_genotype_rejected(self):
         with pytest.raises(ValueError):
-            Genotype(())
+            Genotype(b"")
 
 
 class TestGenotypeSymbols:
-    def test_int_sequence_becomes_bytes(self):
-        gt = Genotype((Symbol.C, Symbol.BRANCH1, 0, 11, 15))
-        assert gt.symbols == bytes((0, 12, 0, 11, 15))
-        assert gt == Genotype([0, 12, 0, 11, 15]) == Genotype(gt.symbols)
-        assert hash(gt) == hash(Genotype(gt.symbols))
+    @pytest.mark.parametrize("symbols", [(0, 12, 0, 11, 15), [0, 12], bytearray(b"\x00\x0c")])
+    def test_only_bytes_accepted(self, symbols):
+        with pytest.raises(TypeError, match="must be bytes"):
+            Genotype(symbols)
+        gt = Genotype(bytes(symbols))
+        assert gt.symbols == bytes(symbols)
+        assert gt == Genotype(gt.symbols) and hash(gt) == hash(Genotype(gt.symbols))
 
     @pytest.mark.parametrize("bad", [16, 99, 255, 256, -1, -16])
     def test_index_outside_alphabet_rejected(self, bad):
-        # 99 used to decode as [Ring2] and then fail in text()
+        # 99 used to decode as [Ring2] and then fail in text(); a value
+        # outside 0..255 is no byte at all
         with pytest.raises(ValueError):
-            Genotype((Symbol.C, Symbol.C, Symbol.C, bad, Symbol.N, Symbol.C))
+            Genotype(bytes((Symbol.C, Symbol.C, Symbol.C, bad, Symbol.N, Symbol.C)))
 
     def test_bytes_outside_alphabet_rejected(self):
         with pytest.raises(ValueError):
@@ -416,7 +419,7 @@ class TestStructureTable:
 
 def chain(n):
     """A genotype deriving an n-carbon chain: a distinct structure per n."""
-    return Genotype((Symbol.C,) * n)
+    return Genotype(bytes((Symbol.C,) * n))
 
 
 @pytest.fixture

@@ -167,7 +167,7 @@ def reference_mutate(symbols: tuple[Symbol, ...], rng: random.Random,
 
 
 def structure(symbols) -> tuple:
-    mol = decode(Genotype(symbols))
+    mol = decode(Genotype(bytes(symbols)))
     return mol.elements, mol.bond_list
 
 

@@ -72,7 +72,7 @@ def reference_mutate(g: Genotype, rng: random.Random, max_canonical_len: int = 8
             cand[pos] = sym
         if len(cand) > max_genotype_len:
             continue
-        child = Genotype(tuple(cand))
+        child = Genotype(bytes(cand))
         if len(decode(child).canonical()) <= max_canonical_len:
             return child
     return g
@@ -196,7 +196,7 @@ class TestMutate:
         assert min(decided.values()) >= 50, decided
 
     def test_genotype_length_cap(self):
-        parent = Genotype((Symbol.C,) * 100)
+        parent = Genotype(bytes((Symbol.C,) * 100))
         for seed in range(20):
             rng_new, rng_ref = random.Random(seed), random.Random(seed)
             child = mutate(parent, rng_new, 81, max_genotype_len=100)

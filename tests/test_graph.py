@@ -634,7 +634,7 @@ def ring_rich_genotype(rng: random.Random) -> Genotype:
     for _ in range(rng.randint(1, 3)):
         pos = rng.randint(0, len(symbols))
         symbols[pos:pos] = PHENYL_SYMBOLS
-    return Genotype(tuple(symbols))
+    return Genotype(bytes(symbols))
 
 
 def structure_values(mol: MolecularGraph, stats) -> tuple:

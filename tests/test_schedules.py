@@ -60,7 +60,7 @@ class TestConstant:
         s = BetaSchedule(low=10.0, high=10.0)
         history = []
         for gen in range(25):
-            assert next_beta(s, gen, history) == 10.0
+            assert next_beta(s, history) == 10.0
             history.append(float(gen))
 
     @pytest.mark.parametrize("history", [
@@ -70,7 +70,7 @@ class TestConstant:
     ])
     def test_equal_levels_give_a_constant_schedule(self, history):
         s = BetaSchedule(low=7.5, high=7.5, window=3)
-        assert next_beta(s, len(history), history) == 7.5
+        assert next_beta(s, history) == 7.5
 
 
 class TestAdaptive:
@@ -78,8 +78,8 @@ class TestAdaptive:
         s = BetaSchedule(low=0.0, high=1000.0, window=20)
         history = []
         betas = []
-        for gen in range(25):
-            betas.append(next_beta(s, gen, history))
+        for _ in range(25):
+            betas.append(next_beta(s, history))
             history.append(5.0)  # never improves
         assert betas[0] == 0.0
         assert betas[-1] == 1000.0
@@ -92,8 +92,8 @@ class TestAdaptive:
         history = []
         betas = []
         values = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0]
-        for gen, v in enumerate(values):
-            betas.append(next_beta(s, gen, history))
+        for v in values:
+            betas.append(next_beta(s, history))
             history.append(v)
         # trigger after 3 stagnant gens, release right after the improvement
         assert 1000.0 in betas
@@ -107,15 +107,10 @@ class TestAdaptive:
         betas = []
         # improvements below epsilon must not reset the stagnation counter
         values = [1.0, 1.0 + 5e-4, 1.0 + 9e-4]
-        for gen, v in enumerate(values):
-            betas.append(next_beta(s, gen, history))
+        for v in values:
+            betas.append(next_beta(s, history))
             history.append(v)
-        assert next_beta(s, 3, history) == 1000.0
-
-    def test_history_length_checked(self):
-        s = BetaSchedule()
-        with pytest.raises(ValueError):
-            next_beta(s, 3, [1.0])
+        assert next_beta(s, history) == 1000.0
 
     def test_trace_structure(self):
         # every low->high edge is preceded by >= window stagnant generations;
@@ -124,8 +119,8 @@ class TestAdaptive:
         history = []
         betas = []
         values = [1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3]
-        for gen, v in enumerate(values):
-            betas.append(next_beta(s, gen, history))
+        for v in values:
+            betas.append(next_beta(s, history))
             history.append(float(v))
         for t in range(1, len(betas)):
             if betas[t - 1] == s.low and betas[t] == s.high:
@@ -134,7 +129,3 @@ class TestAdaptive:
                 assert all(v <= base + s.epsilon for v in window)
             if betas[t - 1] == s.high and betas[t] == s.low:
                 assert history[t - 1] > max(history[: t - 1]) + s.epsilon
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            BetaSchedule(window=0)
